@@ -28,12 +28,12 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
 from .benchmarks import builtin
-from .cors import ProposalSettings
 from .engine import ObjectiveError, OptimizationConfig, run
 from .lhs import diagonal_lh, improve_lh, spread
 from .rbf import SingularFitError, compute_space_scaling, fit, refit_with_scaling
@@ -54,36 +54,9 @@ class ObjectiveLaunchError(Exception):
     """External objective command could not be started; exit code 3."""
 
 
-# Allowed config keys and the JSON types accepted for each.  None in a type
-# tuple permits JSON null (key treated as absent).
-_CONFIG_KEYS = {
-    "objective": (str, list),
-    "lower": (list,),
-    "upper": (list,),
-    "history_out": (str,),
-    "n_init": (int,),
-    "n_iter": (int,),
-    "initial_density": (int, float),
-    "decay_exponent": (int, float),
-    "keep_fraction": (int, float),
-    "lh_attempts": (int,),
-    "cloud_size": (int,),
-    "best_fraction": (int, float),
-    "workers": (int,),
-    "batch_size": (int, None),
-    "seed": (int, None),
-    "use_space_rescaling": (bool,),
-    "maximize": (bool,),
-    "proposal": (dict,),
-}
-_PROPOSAL_KEYS = {
-    "uniform_per_dim": (int,),
-    "local_candidates": (int,),
-    "pattern_steps": (int,),
-    "initial_step": (int, float),
-    "min_step": (int, float),
-}
-_REQUIRED_KEYS = ("objective", "n_init", "n_iter")
+# Run-level keys and the JSON types accepted for each; every other key is a
+# field of OptimizationConfig.
+_RUN_KEYS = {"objective": (str, list), "lower": (list,), "upper": (list,), "history_out": (str,)}
 
 
 def _key_line(raw: str, key: str) -> int | None:
@@ -102,21 +75,49 @@ def _located(raw: str, key: str | None, message: str) -> ConfigError:
     return ConfigError(message)
 
 
-def _check_type(raw: str, key: str, value, allowed) -> bool:
-    """Validate a config value's JSON type; returns True if the key should be
-    treated as absent (JSON null where permitted)."""
-    if value is None:
-        if None in allowed:
-            return True
-        raise _located(raw, key, f"key {key!r} must not be null")
-    types = tuple(t for t in allowed if t is not None)
+def _setting_error(raw: str, err: ValueError) -> ConfigError:
+    """Locate a settings ValueError at the key its message starts with."""
+    message = str(err)
+    return _located(raw, message.split()[0], message)
+
+
+def _check_type(raw: str, key: str, value, accepted: tuple) -> None:
     # bool is an int subclass; only accept it where bool is listed.
-    if isinstance(value, bool) and bool not in types:
-        raise _located(raw, key, f"key {key!r} must not be a boolean")
-    if not isinstance(value, types):
-        names = " or ".join(t.__name__ for t in types)
+    if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+        names = " or ".join(t.__name__ for t in accepted)
         raise _located(raw, key, f"key {key!r} must be {names}")
-    return False
+
+
+def _json_value(raw: str, key: str, value, kind):
+    """Check a JSON value against a settings field's annotation and convert
+    it; integers are accepted for float fields and stored as float."""
+    if value is None and type(None) in typing.get_args(kind):
+        return None
+    if is_dataclass(kind):
+        _check_type(raw, key, value, (dict,))
+        return _settings_from_json(raw, kind, value)
+    base = next(t for t in (*typing.get_args(kind), kind) if t in (bool, int, float))
+    _check_type(raw, key, value, (int, float) if base is float else (base,))
+    return base(value)
+
+
+def _settings_from_json(raw: str, cls, doc: dict):
+    """Build a settings dataclass from a JSON object, taking the allowed keys
+    and their types from the dataclass fields and the range checks from the
+    class itself."""
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, value in doc.items():
+        if key not in hints:
+            raise _located(raw, key, f"unknown key {key!r}")
+        values[key] = _json_value(raw, key, value, hints[key])
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in values:
+            raise ConfigError(f"missing required key {f.name!r}")
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise _setting_error(raw, err)
 
 
 @dataclass
@@ -143,25 +144,12 @@ def load_run_config(path: str) -> RunSpec:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
 
-    values: dict = {}
-    for key, value in doc.items():
-        if key not in _CONFIG_KEYS:
-            raise _located(raw, key, f"unknown key {key!r}")
-        if not _check_type(raw, key, value, _CONFIG_KEYS[key]):
-            values[key] = value
-    for key in _REQUIRED_KEYS:
-        if key not in values:
-            raise ConfigError(f"missing required key {key!r}")
-
-    proposal = ProposalSettings()
-    if "proposal" in values:
-        fields: dict = {}
-        for key, value in values["proposal"].items():
-            if key not in _PROPOSAL_KEYS:
-                raise _located(raw, key, f"unknown proposal key {key!r}")
-            _check_type(raw, key, value, _PROPOSAL_KEYS[key])
-            fields[key] = value
-        proposal = ProposalSettings(**fields)
+    values = {key: doc.pop(key) for key in _RUN_KEYS if key in doc}
+    for key, value in values.items():
+        _check_type(raw, key, value, _RUN_KEYS[key])
+    if "objective" not in values:
+        raise ConfigError("missing required key 'objective'")
+    config = _settings_from_json(raw, OptimizationConfig, doc)
 
     objective = values["objective"]
     objective_name: str | None = None
@@ -184,23 +172,10 @@ def load_run_config(path: str) -> RunSpec:
         objective_command = list(objective)
 
     domain = _resolve_domain(raw, values, objective_name)
-    config = OptimizationConfig(
-        n_init=values["n_init"],
-        n_iter=values["n_iter"],
-        initial_density=float(values.get("initial_density", 0.75)),
-        decay_exponent=float(values.get("decay_exponent", 1.0)),
-        keep_fraction=float(values.get("keep_fraction", 0.75)),
-        lh_attempts=values.get("lh_attempts", 1000),
-        cloud_size=values.get("cloud_size", 10000),
-        best_fraction=float(values.get("best_fraction", 0.05)),
-        workers=values.get("workers", 1),
-        batch_size=values.get("batch_size"),
-        seed=values.get("seed"),
-        use_space_rescaling=values.get("use_space_rescaling", True),
-        maximize=values.get("maximize", False),
-        proposal=proposal,
-    )
-    _validate_config(raw, config, domain.dim)
+    try:
+        config.validate(domain.dim)
+    except ValueError as err:
+        raise _setting_error(raw, err)
     return RunSpec(
         config=config,
         domain=domain,
@@ -249,35 +224,6 @@ def _resolve_domain(raw: str, values: dict, objective_name: str | None) -> Bound
                 f"[{obj.lower.tolist()}, {obj.upper.tolist()}]",
             )
     return domain
-
-
-def _validate_config(raw: str, config: OptimizationConfig, dim: int) -> None:
-    try:
-        config.validate(dim)
-        if not 0.0 < config.initial_density <= 1.0:
-            raise ValueError(
-                f"initial_density must be in (0, 1], got {config.initial_density}"
-            )
-        if config.decay_exponent <= 0.0:
-            raise ValueError(
-                f"decay_exponent must be positive, got {config.decay_exponent}"
-            )
-        if not 0.0 < config.keep_fraction <= 1.0:
-            raise ValueError(
-                f"keep_fraction must be in (0, 1], got {config.keep_fraction}"
-            )
-        if config.lh_attempts < 0:
-            raise ValueError(f"lh_attempts must be non-negative, got {config.lh_attempts}")
-        if config.cloud_size < 100:
-            raise ValueError(f"cloud_size must be at least 100, got {config.cloud_size}")
-        if not 0.0 < config.best_fraction <= 0.5:
-            raise ValueError(
-                f"best_fraction must be in (0, 0.5], got {config.best_fraction}"
-            )
-    except ValueError as err:
-        message = str(err)
-        key = next((k for k in _CONFIG_KEYS if k in message), None)
-        raise _located(raw, key, message)
 
 
 class CommandObjective:
@@ -424,13 +370,9 @@ def parse_history(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def cmd_run(args) -> int:
     try:
         spec = load_run_config(args.config)
-        if args.seed is not None:
-            spec.config.seed = args.seed
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError(f"workers must be at least 1, got {args.workers}")
-            spec.config.workers = args.workers
-    except ConfigError as err:
+        overrides = {"seed": args.seed, "workers": args.workers}
+        config = replace(spec.config, **{k: v for k, v in overrides.items() if v is not None})
+    except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     out = args.out if args.out is not None else spec.history_out
@@ -438,11 +380,11 @@ def cmd_run(args) -> int:
     pool: CommandObjective | None = None
     try:
         if spec.objective_command is not None:
-            pool = CommandObjective(spec.objective_command, spec.config.workers)
+            pool = CommandObjective(spec.objective_command, config.workers)
             objective = pool
         else:
             objective = builtin(spec.objective_name, dim=spec.domain.dim).evaluate
-        result = run(objective, spec.domain, spec.config, progress=True)
+        result = run(objective, spec.domain, config, progress=True)
     except ObjectiveLaunchError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_OBJECTIVE
@@ -492,11 +434,6 @@ def cmd_surface(args) -> int:
         d = points.shape[1]
         if d != 2:
             raise ConfigError(f"surface grid requires a 2-dimensional history, got d={d}")
-        if points.shape[0] < d + 2:
-            raise ConfigError(
-                f"history must contain at least d+2 = {d + 2} evaluations, "
-                f"got {points.shape[0]}"
-            )
         if args.resolution < 2:
             raise ConfigError(f"resolution must be at least 2, got {args.resolution}")
         model = fit(points, raw_values)

@@ -19,6 +19,18 @@ from scipy.spatial.distance import cdist
 from .rbf import RbfModel
 
 
+def check_settings(settings, *rules) -> None:
+    """Raise ValueError for the first (field, holds, requirement) rule that
+    does not hold.
+
+    The message starts with the field name, so a caller that loaded the
+    settings from a file can point at the offending key.
+    """
+    for name, holds, requirement in rules:
+        if not holds:
+            raise ValueError(f"{name} must be {requirement}, got {getattr(settings, name)}")
+
+
 def unit_ball_volume(dim: int) -> float:
     """Volume of the unit-radius ball in `dim` dimensions."""
     if dim < 1:
@@ -44,14 +56,12 @@ class RadiusSchedule:
 
     Density decays from initial_density at iteration 1 to exactly 0 at
     iteration total_iters, polynomially with exponent decay_exponent
-    (1 = linear decay).  n_init only provides the default center count in
-    the serial wiring; callers pass the live count to radius().
+    (1 = linear decay).  Callers pass the live center count to radius().
     """
 
     initial_density: float
     decay_exponent: float
     total_iters: int
-    n_init: int
     dim: int
 
     def __post_init__(self):
@@ -61,8 +71,6 @@ class RadiusSchedule:
             raise ValueError(f"decay_exponent must be positive, got {self.decay_exponent}")
         if self.total_iters < 1:
             raise ValueError(f"total_iters must be at least 1, got {self.total_iters}")
-        if self.n_init < 1:
-            raise ValueError(f"n_init must be at least 1, got {self.n_init}")
         if self.dim < 1:
             raise ValueError(f"dim must be at least 1, got {self.dim}")
 
@@ -98,6 +106,16 @@ class ProposalSettings:
     pattern_steps: int = 50
     initial_step: float = 0.05
     min_step: float = 1e-4
+
+    def __post_init__(self):
+        check_settings(
+            self,
+            ("uniform_per_dim", self.uniform_per_dim >= 1, "at least 1"),
+            ("local_candidates", self.local_candidates >= 0, "non-negative"),
+            ("pattern_steps", self.pattern_steps >= 0, "non-negative"),
+            ("initial_step", self.initial_step > 0.0, "positive"),
+            ("min_step", 0.0 < self.min_step <= self.initial_step, "in (0, initial_step]"),
+        )
 
 
 @dataclass(frozen=True)

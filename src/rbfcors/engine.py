@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cors import Proposal, ProposalSettings, RadiusSchedule, propose_batch
+from .cors import Proposal, ProposalSettings, RadiusSchedule, check_settings, propose_batch
 from .lhs import diagonal_lh, improve_lh
 from .rbf import RbfModel, compute_space_scaling, fit, refit_with_scaling
 from .scaling import BoundedDomain, ObjectiveRescaler, fit_rescaler, maximization_wrapper
@@ -45,9 +45,9 @@ class ObjectiveError(RuntimeError):
         self.history = history
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizationConfig:
-    """Run settings.
+    """Run settings, range-checked on construction.
 
     batch_size controls how many proposals are drawn per model refit and
     therefore the sequence of sampled points; workers only controls how many
@@ -71,18 +71,27 @@ class OptimizationConfig:
     maximize: bool = False
     proposal: ProposalSettings = field(default_factory=ProposalSettings)
 
+    def __post_init__(self):
+        check_settings(
+            self,
+            ("n_iter", self.n_iter >= 0, "non-negative"),
+            ("initial_density", 0.0 < self.initial_density <= 1.0, "in (0, 1]"),
+            ("decay_exponent", self.decay_exponent > 0.0, "positive"),
+            ("keep_fraction", 0.0 < self.keep_fraction <= 1.0, "in (0, 1]"),
+            ("lh_attempts", self.lh_attempts >= 0, "non-negative"),
+            ("cloud_size", self.cloud_size >= 100, "at least 100"),
+            ("best_fraction", 0.0 < self.best_fraction <= 0.5, "in (0, 0.5]"),
+            ("workers", self.workers >= 1, "at least 1"),
+            ("batch_size", self.batch_size is None or self.batch_size >= 1, "at least 1"),
+        )
+
     def validate(self, dim: int) -> None:
+        """Check the one rule that depends on the problem dimension."""
         if self.n_init < dim + 2:
             raise ValueError(
                 f"n_init must be at least dim + 2 = {dim + 2} to fit the "
                 f"surface, got {self.n_init}"
             )
-        if self.n_iter < 0:
-            raise ValueError(f"n_iter must be non-negative, got {self.n_iter}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
     def effective_batch(self) -> int:
         return self.workers if self.batch_size is None else self.batch_size
@@ -166,16 +175,6 @@ def _call_scalar(objective, point) -> float:
     return value
 
 
-def _check_non_negative(values, history: list[EvaluationRecord]) -> None:
-    for value in values:
-        if value < 0.0:
-            raise ObjectiveError(
-                f"objective returned negative value {value!r}; the value "
-                f"rescaling assumes non-negative objectives",
-                history,
-            )
-
-
 def best_so_far(history: list[EvaluationRecord]) -> EvaluationRecord:
     """Record with the lowest f_raw; ties go to the earliest evaluation."""
     if not history:
@@ -183,9 +182,54 @@ def best_so_far(history: list[EvaluationRecord]) -> EvaluationRecord:
     return min(history, key=lambda rec: (rec.f_raw, rec.index))
 
 
-def _chunked(seq, size):
-    for start in range(0, len(seq), size):
-        yield seq[start : start + size]
+def _evaluate_into(
+    history: list[EvaluationRecord],
+    objective,
+    domain: BoundedDomain,
+    workers: int,
+    units,
+    proposals: list[Proposal] | None = None,
+    rescaler: ObjectiveRescaler | None = None,
+) -> None:
+    """Evaluate unit points as one batch and append a record per value.
+
+    Without proposals the points are the initial design, recorded unscaled
+    and without a radius.  On failure, every call in the batch that returned
+    a valid non-negative value is recorded at its true index before
+    ObjectiveError carries the history out.
+    """
+    originals = [domain.from_unit(x) for x in units]
+    failure: BatchEvaluationError | None = None
+    try:
+        values = dict(enumerate(evaluate_batch(objective, originals, workers)))
+    except BatchEvaluationError as err:
+        failure, values = err, err.completed
+    start = len(history)
+    for pos, value in sorted(values.items()):
+        if value < 0.0:
+            continue
+        prop = None if proposals is None else proposals[pos]
+        history.append(
+            EvaluationRecord(
+                stage="initial" if prop is None else "subsequent",
+                index=start + pos,
+                x_unit=units[pos].copy(),
+                x_original=originals[pos],
+                f_raw=value,
+                f_scaled=None if rescaler is None else rescaler.rescale(value),
+                radius_used=None if prop is None else prop.radius,
+                fallback=False if prop is None else prop.fallback,
+            )
+        )
+    if failure is not None:
+        raise ObjectiveError(str(failure), history) from failure
+    negative = next((value for value in values.values() if value < 0.0), None)
+    if negative is not None:
+        raise ObjectiveError(
+            f"objective returned negative value {negative!r}; the value "
+            f"rescaling assumes non-negative objectives",
+            history,
+        )
 
 
 def run(
@@ -204,33 +248,10 @@ def run(
     inner = maximization_wrapper(objective) if config.maximize else objective
 
     lh = improve_lh(diagonal_lh(config.n_init, domain.dim), config.lh_attempts, rng)
-    unit_points = lh.unit_points()
-
     history: list[EvaluationRecord] = []
-    raw_values: list[float] = []
-    try:
-        for chunk in _chunked(list(range(config.n_init)), config.workers):
-            originals = [domain.from_unit(unit_points[i]) for i in chunk]
-            values = evaluate_batch(inner, originals, config.workers)
-            _check_non_negative(values, history)
-            for i, x_orig, value in zip(chunk, originals, values):
-                raw_values.append(value)
-                history.append(
-                    EvaluationRecord(
-                        stage="initial",
-                        index=i,
-                        x_unit=unit_points[i].copy(),
-                        x_original=x_orig,
-                        f_raw=value,
-                        f_scaled=None,
-                        radius_used=None,
-                        fallback=False,
-                    )
-                )
-    except BatchEvaluationError as err:
-        raise ObjectiveError(str(err), history) from err
+    _evaluate_into(history, inner, domain, config.workers, lh.unit_points())
 
-    rescaler = fit_rescaler(np.asarray(raw_values), config.keep_fraction)
+    rescaler = fit_rescaler(np.array([rec.f_raw for rec in history]), config.keep_fraction)
     history = [
         replace(rec, f_scaled=rescaler.rescale(rec.f_raw)) for rec in history
     ]
@@ -241,7 +262,6 @@ def run(
             initial_density=config.initial_density,
             decay_exponent=config.decay_exponent,
             total_iters=config.n_iter,
-            n_init=config.n_init,
             dim=domain.dim,
         )
         batch = config.effective_batch()
@@ -267,30 +287,11 @@ def run(
                 config.proposal,
                 incumbent.x_unit,
             )
-            originals = [domain.from_unit(p.x) for p in proposals]
-            try:
-                values = evaluate_batch(inner, originals, config.workers)
-            except BatchEvaluationError as err:
-                for pos, value in sorted(err.completed.items()):
-                    history.append(
-                        _iter_record(
-                            proposals[pos],
-                            originals[pos],
-                            value,
-                            rescaler,
-                            config.n_init + iteration + pos - 1,
-                        )
-                    )
-                raise ObjectiveError(str(err), history) from err
-            _check_non_negative(values, history)
-            for pos, (prop, x_orig, value) in enumerate(zip(proposals, originals, values)):
+            units = [p.x for p in proposals]
+            _evaluate_into(history, inner, domain, config.workers, units, proposals, rescaler)
+            for pos, prop in enumerate(proposals):
                 schedule_trace.append(
                     (iteration + pos, schedule.density(iteration + pos), prop.radius)
-                )
-                history.append(
-                    _iter_record(
-                        prop, x_orig, value, rescaler, config.n_init + iteration + pos - 1
-                    )
                 )
             if progress:
                 best = best_so_far(history)
@@ -311,23 +312,4 @@ def run(
         schedule_trace=schedule_trace,
         rescaler=rescaler,
         domain=domain,
-    )
-
-
-def _iter_record(
-    prop: Proposal,
-    x_original: np.ndarray,
-    value: float,
-    rescaler: ObjectiveRescaler,
-    index: int,
-) -> EvaluationRecord:
-    return EvaluationRecord(
-        stage="subsequent",
-        index=index,
-        x_unit=prop.x.copy(),
-        x_original=x_original,
-        f_raw=value,
-        f_scaled=rescaler.rescale(value),
-        radius_used=prop.radius,
-        fallback=prop.fallback,
     )

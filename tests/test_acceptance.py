@@ -130,7 +130,7 @@ def test_acceptance_3_radius_schedule_analytics():
     radius decrease over a full schedule."""
     spot_radius = exclusion_radius(math.pi, 4, 2)
     sched = RadiusSchedule(
-        initial_density=0.75, decay_exponent=1.0, total_iters=10, n_init=20, dim=2
+        initial_density=0.75, decay_exponent=1.0, total_iters=10, dim=2
     )
     first_density = sched.density(1)
     last_density = sched.density(10)

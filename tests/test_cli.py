@@ -82,6 +82,53 @@ class TestRunCommand:
         message = capsys.readouterr().err
         assert "n_itr" in message and f"line {line}" in message
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"n_init": 3}, "n_init"),
+            ({"n_iter": -1}, "n_iter"),
+            ({"initial_density": 1.5}, "initial_density"),
+            ({"decay_exponent": 0}, "decay_exponent"),
+            ({"keep_fraction": 0.0}, "keep_fraction"),
+            ({"lh_attempts": -1}, "lh_attempts"),
+            ({"cloud_size": 99}, "cloud_size"),
+            ({"best_fraction": 0.6}, "best_fraction"),
+            ({"workers": 0}, "workers"),
+            ({"batch_size": 0}, "batch_size"),
+            ({"seed": 1.5}, "seed"),
+            ({"use_space_rescaling": 1}, "use_space_rescaling"),
+            ({"maximize": "yes"}, "maximize"),
+            ({"proposal": [200]}, "proposal"),
+            ({"proposal": {"uniform_per_dim": 0}}, "uniform_per_dim"),
+            ({"proposal": {"local_candidates": -1}}, "local_candidates"),
+            ({"proposal": {"pattern_steps": -1}}, "pattern_steps"),
+            ({"proposal": {"initial_step": 0}}, "initial_step"),
+            ({"proposal": {"min_step": 0.5}}, "min_step"),
+        ],
+    )
+    def test_invalid_setting_rejected_with_line_number(
+        self, tmp_path, capsys, overrides, key
+    ):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        line = next(
+            i
+            for i, text in enumerate(cfg.read_text().splitlines(), start=1)
+            if f'"{key}"' in text
+        )
+        out = tmp_path / "hist.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        message = capsys.readouterr().err
+        assert key in message and f"line {line}" in message
+
+    def test_workers_override_checked_like_file_value(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "hist.csv"
+        code = main(["run", "--config", str(cfg), "--workers", "0", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "workers" in capsys.readouterr().err
+
     def test_too_small_design_rejected_naming_invariant(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", n_init=3)
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG

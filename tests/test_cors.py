@@ -52,7 +52,6 @@ class TestRadiusSchedule:
             initial_density=0.75,
             decay_exponent=1.0,
             total_iters=10,
-            n_init=20,
             dim=2,
         )
         base.update(overrides)
@@ -102,6 +101,33 @@ class TestRadiusSchedule:
             self.schedule(decay_exponent=0.0)
         with pytest.raises(ValueError):
             self.schedule(total_iters=0)
+
+
+class TestProposalSettings:
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            # No uniform and no local candidates used to reach propose_point
+            # and fail there on an empty argmax.
+            ({"uniform_per_dim": 0, "local_candidates": 0}, "uniform_per_dim"),
+            ({"local_candidates": -1}, "local_candidates"),
+            ({"pattern_steps": -1}, "pattern_steps"),
+            ({"initial_step": -0.05}, "initial_step"),
+            ({"min_step": 0.0}, "min_step"),
+            ({"min_step": 0.1, "initial_step": 0.05}, "min_step"),
+        ],
+    )
+    def test_rejects_invalid_settings_naming_the_field(self, overrides, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            ProposalSettings(**overrides)
+
+    def test_smallest_valid_settings_propose(self):
+        settings = ProposalSettings(
+            uniform_per_dim=1, local_candidates=0, pattern_steps=0, min_step=0.05
+        )
+        model, points = sphere_model(np.random.default_rng(3))
+        prop = propose_point(model, points, 0.0, np.random.default_rng(4), settings)
+        assert prop.x.shape == (2,)
 
 
 def sphere_model(rng, n_points=25):
@@ -179,12 +205,12 @@ class TestProposePoint:
 class TestProposeBatch:
     def schedule(self):
         return RadiusSchedule(
-            initial_density=0.75, decay_exponent=1.0, total_iters=10, n_init=20, dim=2
+            initial_density=0.75, decay_exponent=1.0, total_iters=10, dim=2
         )
 
     def test_single_proposal_reduces_to_propose_point(self):
-        # Serial case: 22 centers at iteration 3 is exactly n + i - 1 for
-        # n_init = 20, so a one-element batch equals a direct proposal.
+        # Serial case: a one-element batch takes its radius from the live
+        # center count (22 at iteration 3), so it equals a direct proposal.
         rng = np.random.default_rng(6)
         model, _ = sphere_model(rng, n_points=20)
         centers = rng.random((22, 2))

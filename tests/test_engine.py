@@ -224,6 +224,53 @@ class TestRun:
             run(sometimes_negative, unit_domain(), cfg)
         assert isinstance(excinfo.value.history, list)
 
+    def test_initial_design_failure_keeps_returned_evaluations(self):
+        lock = threading.Lock()
+        calls = 0
+        returned = []
+
+        def fails_on_fourth_call(x):
+            nonlocal calls
+            with lock:
+                calls += 1
+                call = calls
+            if call == 4:
+                raise RuntimeError("boom")
+            time.sleep(0.01)
+            with lock:
+                returned.append(tuple(x))
+            return sphere_objective(x)
+
+        cfg = OptimizationConfig(n_init=8, n_iter=2, seed=14, workers=2)
+        with pytest.raises(ObjectiveError, match="boom") as excinfo:
+            run(fails_on_fourth_call, unit_domain(), cfg)
+        history = excinfo.value.history
+        assert len(history) >= 3
+        assert sorted(tuple(rec.x_original) for rec in history) == sorted(returned)
+        design_only = OptimizationConfig(n_init=8, n_iter=0, seed=14)
+        design = run(sphere_objective, unit_domain(), design_only).history
+        for rec in history:
+            np.testing.assert_array_equal(rec.x_unit, design[rec.index].x_unit)
+            assert rec.f_raw == design[rec.index].f_raw
+
+    def test_negative_value_keeps_rest_of_surrogate_batch(self):
+        calls = {"n": 0}
+
+        def negative_on_eighth_call(x):
+            calls["n"] += 1
+            return -1.0 if calls["n"] == 8 else sphere_objective(x)
+
+        cfg = OptimizationConfig(n_init=6, n_iter=3, seed=15, batch_size=3)
+        with pytest.raises(ObjectiveError, match="negative") as excinfo:
+            run(negative_on_eighth_call, unit_domain(), cfg)
+        history = excinfo.value.history
+        assert [rec.index for rec in history] == [0, 1, 2, 3, 4, 5, 6, 8]
+        clean = run(sphere_objective, unit_domain(), cfg).history
+        for rec in history:
+            assert rec.stage == clean[rec.index].stage
+            np.testing.assert_array_equal(rec.x_unit, clean[rec.index].x_unit)
+            assert rec.f_scaled == clean[rec.index].f_scaled
+
     def test_non_finite_objective_aborts(self):
         calls = {"n": 0}
 
