@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import os
 import queue
 import re
@@ -35,6 +36,7 @@ import numpy as np
 
 from .benchmarks import builtin
 from .engine import ObjectiveError, OptimizationConfig, run
+from .engine import log as engine_log
 from .lhs import diagonal_lh, improve_lh, spread
 from .rbf import SingularFitError, compute_space_scaling, fit, refit_with_scaling
 from .scaling import BoundedDomain
@@ -282,13 +284,6 @@ class CommandObjective:
                 proc.kill()
                 proc.wait()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
-
 
 def format_float(value) -> str:
     """Shortest decimal form that round-trips to the same float."""
@@ -312,13 +307,13 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _history_columns(dim: int) -> list[str]:
+    coordinates = [f"x_{i + 1}" for i in range(dim)]
+    return ["stage", "index", *coordinates, "f_raw", "f_scaled", "radius", "fallback"]
+
+
 def history_to_csv(history, dim: int) -> str:
-    columns = (
-        ["stage", "index"]
-        + [f"x_{i + 1}" for i in range(dim)]
-        + ["f_raw", "f_scaled", "radius", "fallback"]
-    )
-    lines = [",".join(columns)]
+    lines = [",".join(_history_columns(dim))]
     for rec in history:
         row = [rec.stage, str(rec.index)]
         row.extend(format_float(c) for c in rec.x_unit)
@@ -330,8 +325,8 @@ def history_to_csv(history, dim: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_history(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a history CSV back as (unit points, raw values, scaled values)."""
+def parse_history(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read a history CSV back as (unit points, raw values)."""
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
@@ -341,30 +336,19 @@ def parse_history(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not rows:
         raise ConfigError("history file is empty")
     header = rows[0]
-    x_cols = [i for i, name in enumerate(header) if re.fullmatch(r"x_\d+", name)]
-    expected = ["stage", "index"] + [f"x_{i + 1}" for i in range(len(x_cols))] + [
-        "f_raw",
-        "f_scaled",
-        "radius",
-        "fallback",
-    ]
-    if not x_cols or header != expected:
-        raise ConfigError(
-            "history header must be stage,index,x_1..x_d,f_raw,f_scaled,radius,fallback"
-        )
-    d = len(x_cols)
-    points, raw, scaled = [], [], []
+    d = sum(1 for name in header if re.fullmatch(r"x_\d+", name))
+    if d == 0 or header != _history_columns(d):
+        raise ConfigError(f"history header must be {','.join(_history_columns(max(d, 1)))}")
+    points, raw = [], []
     for number, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ConfigError(f"history line {number}: expected {len(header)} fields")
         try:
             points.append([float(row[2 + i]) for i in range(d)])
             raw.append(float(row[2 + d]))
-            value = row[3 + d]
-            scaled.append(float(value) if value else float("nan"))
         except ValueError:
             raise ConfigError(f"history line {number}: malformed number")
-    return np.asarray(points), np.asarray(raw), np.asarray(scaled)
+    return np.asarray(points), np.asarray(raw)
 
 
 def cmd_run(args) -> int:
@@ -377,6 +361,11 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
     out = args.out if args.out is not None else spec.history_out
 
+    # Progress records go to stderr as bare messages (the default format) during the run.
+    progress = logging.StreamHandler(sys.stderr)
+    level = engine_log.level
+    engine_log.addHandler(progress)
+    engine_log.setLevel(logging.INFO)
     pool: CommandObjective | None = None
     try:
         if spec.objective_command is not None:
@@ -384,7 +373,7 @@ def cmd_run(args) -> int:
             objective = pool
         else:
             objective = builtin(spec.objective_name, dim=spec.domain.dim).evaluate
-        result = run(objective, spec.domain, config, progress=True)
+        result = run(objective, spec.domain, config)
     except ObjectiveLaunchError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_OBJECTIVE
@@ -396,6 +385,8 @@ def cmd_run(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     finally:
+        engine_log.removeHandler(progress)
+        engine_log.setLevel(level)
         if pool is not None:
             pool.close()
 
@@ -407,17 +398,11 @@ def cmd_run(args) -> int:
 
 def cmd_lhs(args) -> int:
     try:
-        if args.n < 2:
-            raise ConfigError(f"n must be at least 2, got {args.n}")
-        if args.d < 1:
-            raise ConfigError(f"d must be at least 1, got {args.d}")
-        if args.attempts < 0:
-            raise ConfigError(f"attempts must be non-negative, got {args.attempts}")
         base = diagonal_lh(args.n, args.d)
         initial_spread = spread(base.unit_points())
         improved = improve_lh(base, args.attempts, np.random.default_rng(args.seed))
         final_spread = spread(improved.unit_points())
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     lines = [",".join(f"x_{i + 1}" for i in range(args.d))]
@@ -430,7 +415,7 @@ def cmd_lhs(args) -> int:
 
 def cmd_surface(args) -> int:
     try:
-        points, raw_values, _ = parse_history(args.history)
+        points, raw_values = parse_history(args.history)
         d = points.shape[1]
         if d != 2:
             raise ConfigError(f"surface grid requires a 2-dimensional history, got d={d}")

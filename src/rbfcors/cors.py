@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .rbf import RbfModel
+from .rbf import MIN_CENTER_SEPARATION, RbfModel
 
 
 def check_settings(settings, *rules) -> None:
@@ -135,6 +135,12 @@ def _min_center_distance(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return cdist(points, centers).min(axis=1)
 
 
+def _feasible(distances, radius: float):
+    """Exclusion constraint on nearest-center distances (array or scalar); the
+    fit's separation floor holds even at radius 0, so no proposal repeats a center."""
+    return distances >= max(radius, MIN_CENTER_SEPARATION)
+
+
 def _candidate_set(
     dim: int,
     radius: float,
@@ -172,7 +178,7 @@ def _pattern_search(
                 trial[axis] += sign * step
                 if trial[axis] < 0.0 or trial[axis] > 1.0:
                     continue
-                if radius > 0.0 and _min_center_distance(trial[None, :], centers)[0] < radius:
+                if not _feasible(_min_center_distance(trial[None, :], centers)[0], radius):
                     continue
                 value = model.evaluate(trial)
                 if value < fx:
@@ -212,7 +218,7 @@ def propose_point(
 
     cands = _candidate_set(model.dim, radius, rng, settings, best_point)
     dmin = _min_center_distance(cands, centers)
-    feasible = dmin >= radius
+    feasible = _feasible(dmin, radius)
 
     if not feasible.any():
         farthest = int(np.argmax(dmin))

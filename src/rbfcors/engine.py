@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-import sys
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
@@ -102,9 +101,9 @@ class EvaluationRecord:
     """One objective evaluation.
 
     stage is "initial" for the space-filling design and "subsequent"
-    afterwards.  f_raw is the objective as minimized internally (already
-    inverted when maximizing); f_scaled is its squashed value used for
-    fitting.  radius_used is None for initial-design points.
+    afterwards.  f_raw is the objective as minimized internally, which is
+    1/(f+1) of the returned f when maximizing; f_scaled is its squashed value
+    used for fitting.  radius_used is None for initial-design points.
     """
 
     stage: str
@@ -119,12 +118,12 @@ class EvaluationRecord:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """best_f is the value the objective returned at best_x."""
+
     best_x: np.ndarray
     best_f: float
     history: list[EvaluationRecord]
-    schedule_trace: list[tuple[int, float, float]]
     rescaler: ObjectiveRescaler
-    domain: BoundedDomain
 
 
 def evaluate_batch(objective, points, workers: int) -> list[float]:
@@ -186,12 +185,13 @@ def _evaluate_into(
     history: list[EvaluationRecord],
     objective,
     domain: BoundedDomain,
-    workers: int,
+    config: OptimizationConfig,
     units,
     proposals: list[Proposal] | None = None,
     rescaler: ObjectiveRescaler | None = None,
-) -> None:
-    """Evaluate unit points as one batch and append a record per value.
+) -> list[float]:
+    """Evaluate unit points as one batch, append a record per value and
+    return the values as the objective returned them.
 
     Without proposals the points are the initial design, recorded unscaled
     and without a radius.  On failure, every call in the batch that returned
@@ -201,22 +201,24 @@ def _evaluate_into(
     originals = [domain.from_unit(x) for x in units]
     failure: BatchEvaluationError | None = None
     try:
-        values = dict(enumerate(evaluate_batch(objective, originals, workers)))
+        values = dict(enumerate(evaluate_batch(objective, originals, config.workers)))
     except BatchEvaluationError as err:
         failure, values = err, err.completed
+    minimized = maximization_wrapper(float) if config.maximize else float
     start = len(history)
     for pos, value in sorted(values.items()):
         if value < 0.0:
             continue
         prop = None if proposals is None else proposals[pos]
+        f_raw = minimized(value)
         history.append(
             EvaluationRecord(
                 stage="initial" if prop is None else "subsequent",
                 index=start + pos,
                 x_unit=units[pos].copy(),
                 x_original=originals[pos],
-                f_raw=value,
-                f_scaled=None if rescaler is None else rescaler.rescale(value),
+                f_raw=f_raw,
+                f_scaled=None if rescaler is None else rescaler.rescale(f_raw),
                 radius_used=None if prop is None else prop.radius,
                 fallback=False if prop is None else prop.fallback,
             )
@@ -230,33 +232,28 @@ def _evaluate_into(
             f"rescaling assumes non-negative objectives",
             history,
         )
+    return list(values.values())
 
 
-def run(
-    objective,
-    domain: BoundedDomain,
-    config: OptimizationConfig,
-    progress: bool = False,
-) -> OptimizationResult:
+def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> OptimizationResult:
     """Run the full optimization and return the best point found.
 
     The objective receives points in original (bounded) coordinates and must
-    return a finite scalar.  Exactly n_init + n_iter evaluations are spent.
+    return a finite non-negative scalar.  Exactly n_init + n_iter evaluations
+    are spent; each batch logs one INFO progress record to rbfcors.engine.
     """
     config.validate(domain.dim)
     rng = np.random.default_rng(config.seed)
-    inner = maximization_wrapper(objective) if config.maximize else objective
 
     lh = improve_lh(diagonal_lh(config.n_init, domain.dim), config.lh_attempts, rng)
     history: list[EvaluationRecord] = []
-    _evaluate_into(history, inner, domain, config.workers, lh.unit_points())
+    returned = _evaluate_into(history, objective, domain, config, lh.unit_points())
 
     rescaler = fit_rescaler(np.array([rec.f_raw for rec in history]), config.keep_fraction)
     history = [
         replace(rec, f_scaled=rescaler.rescale(rec.f_raw)) for rec in history
     ]
 
-    schedule_trace: list[tuple[int, float, float]] = []
     if config.n_iter > 0:
         schedule = RadiusSchedule(
             initial_density=config.initial_density,
@@ -288,28 +285,20 @@ def run(
                 incumbent.x_unit,
             )
             units = [p.x for p in proposals]
-            _evaluate_into(history, inner, domain, config.workers, units, proposals, rescaler)
-            for pos, prop in enumerate(proposals):
-                schedule_trace.append(
-                    (iteration + pos, schedule.density(iteration + pos), prop.radius)
-                )
-            if progress:
-                best = best_so_far(history)
-                last = schedule_trace[-1]
-                print(
-                    f"iter={last[0]} rho={last[1]:.6f} r={last[2]:.6f} "
-                    f"best={best.f_raw:.6g}",
-                    file=sys.stderr,
-                )
+            returned += _evaluate_into(
+                history, objective, domain, config, units, proposals, rescaler
+            )
+            last = iteration + k - 1
+            rho, best = schedule.density(last), best_so_far(history).f_raw
+            log.info(
+                "iter=%d rho=%.6f r=%.6f best=%.6g", last, rho, proposals[-1].radius, best
+            )
             iteration += k
 
     best = best_so_far(history)
-    best_f = 1.0 / best.f_raw - 1.0 if config.maximize else best.f_raw
     return OptimizationResult(
         best_x=best.x_original.copy(),
-        best_f=best_f,
+        best_f=returned[best.index],
         history=history,
-        schedule_trace=schedule_trace,
         rescaler=rescaler,
-        domain=domain,
     )

@@ -35,8 +35,10 @@ class LatinHypercube:
         if perms.ndim != 2:
             raise ValueError("perms must be a (d, n) integer array")
         d, n = perms.shape
-        if n < 2 or d < 1:
-            raise ValueError(f"need n >= 2 points and d >= 1 axes, got n={n}, d={d}")
+        if n < 2:
+            raise ValueError(f"n must be at least 2 points, got {n}")
+        if d < 1:
+            raise ValueError(f"d must be at least 1 axis, got {d}")
         ref = np.arange(n)
         for axis in range(d):
             if not np.array_equal(np.sort(perms[axis]), ref):
@@ -71,11 +73,8 @@ def spread(points) -> float:
 
 def diagonal_lh(n: int, d: int) -> LatinHypercube:
     """Initial design with every point on the main diagonal of the mesh."""
-    if n < 2:
-        raise ValueError(f"need at least 2 points, got {n}")
-    if d < 1:
-        raise ValueError(f"need at least 1 axis, got {d}")
-    return LatinHypercube(np.tile(np.arange(n), (d, 1)))
+    # A negative d gives no axes, so LatinHypercube rejects it by name.
+    return LatinHypercube(np.tile(np.arange(n), (max(d, 0), 1)))
 
 
 def _touched_pair_terms(coords: np.ndarray, k1: int, k2: int) -> float:

@@ -27,7 +27,7 @@ from scipy.spatial.distance import cdist, pdist
 
 log = logging.getLogger(__name__)
 
-_MIN_CENTER_SEPARATION = 1e-10
+MIN_CENTER_SEPARATION = 1e-10
 _CONDITION_LIMIT = 1e12
 _DIAGONAL_NUDGE = 1e-10
 _EIGENVALUE_FLOOR_RATIO = 1e-8
@@ -57,10 +57,6 @@ class RbfModel:
     @property
     def dim(self) -> int:
         return self.centers.shape[1]
-
-    @property
-    def n_centers(self) -> int:
-        return self.centers.shape[0]
 
     def evaluate_many(self, points) -> np.ndarray:
         """Evaluate the surface at each row of an (m, d) array."""
@@ -112,7 +108,7 @@ def fit(points, values, scaling: np.ndarray | None = None) -> RbfModel:
         raise ValueError(f"expected {n} values, got shape {vals.shape}")
     if n < d + 2:
         raise ValueError(f"need at least d + 2 = {d + 2} points to fit in dimension {d}, got {n}")
-    if float(pdist(pts).min()) < _MIN_CENTER_SEPARATION:
+    if float(pdist(pts).min()) < MIN_CENTER_SEPARATION:
         raise SingularFitError("duplicate centers: minimum pairwise distance below 1e-10")
 
     T = np.eye(d) if scaling is None else np.asarray(scaling, dtype=float)

@@ -87,7 +87,6 @@ class ObjectiveRescaler:
     """
 
     threshold: float
-    keep_fraction: float
     degenerate: bool = False
 
     def rescale(self, value: float) -> float:
@@ -118,7 +117,7 @@ def fit_rescaler(raw_values: Sequence[float], keep_fraction: float = 0.75) -> Ob
     rank = math.ceil(keep_fraction * values.size)
     threshold = float(np.sort(values)[rank - 1])
     degenerate = threshold == 0.0 or float(values.min()) == float(values.max())
-    return ObjectiveRescaler(threshold, keep_fraction, degenerate)
+    return ObjectiveRescaler(threshold, degenerate)
 
 
 def maximization_wrapper(objective: Callable) -> Callable:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 
 import numpy as np
@@ -58,6 +59,18 @@ class TestRunCommand:
         main(["run", "--config", str(cfg_a), "--seed", "9", "--out", str(out_a)])
         main(["run", "--config", str(cfg_b), "--seed", "9", "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_progress_line_per_batch_on_stderr(self, tmp_path, capsys):
+        line = re.compile(r"iter=\d+ rho=\d\.\d{6} r=\d\.\d{6} best=\S+")
+        out = str(tmp_path / "hist.csv")
+        for n_iter, batch_size, batches in ((5, 1, 5), (4, 2, 2)):
+            cfg = write_config(tmp_path / "cfg.json", n_iter=n_iter, batch_size=batch_size)
+            assert main(["run", "--config", str(cfg), "--out", out]) == EXIT_OK
+            lines = capsys.readouterr().err.splitlines()
+            # A handler left over from the first run would double these lines.
+            assert len(lines) == batches
+            assert all(line.fullmatch(text) for text in lines)
+            assert lines[-1].startswith(f"iter={n_iter} ")
 
     def test_valley_converges_near_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", n_init=20, n_iter=10, seed=3)
@@ -152,7 +165,7 @@ class TestRunCommand:
         )
         out = tmp_path / "hist.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        points, _, _ = parse_history(str(out))
+        points, _ = parse_history(str(out))
         assert points.shape == (15, 2)
 
     def test_invalid_json_rejected(self, tmp_path, capsys):
@@ -323,7 +336,7 @@ class TestSurfaceCommand:
              str(resolution), "--unscaled", "--out", str(out)]
         )
         grid = self.load_grid(out)
-        points, raw, _ = parse_history(str(history))
+        points, raw = parse_history(str(history))
         model = fit(points, raw)
         axis = np.linspace(0.0, 1.0, resolution)
         for center, value in zip(points, raw):

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from rbfcors.benchmarks import builtin, multimodal
 from rbfcors.engine import (
@@ -130,7 +131,6 @@ class TestRun:
         assert len(result.history) == 6
         assert all(rec.stage == "initial" for rec in result.history)
         assert result.best_f == min(rec.f_raw for rec in result.history)
-        assert result.schedule_trace == []
 
     def test_monotone_incumbent(self):
         cfg = OptimizationConfig(n_init=8, n_iter=8, seed=3)
@@ -162,19 +162,19 @@ class TestRun:
         for rec in result.history:
             assert rec.f_scaled == result.rescaler.rescale(rec.f_raw)
 
-    def test_schedule_trace_matches_closed_forms(self):
+    def test_recorded_radii_match_closed_forms(self):
         cfg = OptimizationConfig(
             n_init=10, n_iter=6, initial_density=0.6, decay_exponent=2.0, seed=6
         )
         result = run(sphere_objective, unit_domain(), cfg)
-        assert len(result.schedule_trace) == 6
+        subsequent = result.history[10:]
+        assert len(subsequent) == 6
         ball = math.pi  # unit-ball volume in two dimensions
-        for i, density, radius in result.schedule_trace:
+        for i, rec in enumerate(subsequent, start=1):
             expected_density = 0.6 * ((6 - i) / 5) ** 2.0
-            assert density == pytest.approx(expected_density, abs=1e-12)
             n_points = 10 + i - 1
             expected_radius = (expected_density / (n_points * ball)) ** 0.5
-            assert radius == pytest.approx(expected_radius, abs=1e-12)
+            assert rec.radius_used == pytest.approx(expected_radius, abs=1e-12)
 
     def test_history_identical_across_worker_counts(self):
         def slow_sphere(x):
@@ -297,6 +297,32 @@ class TestRun:
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         true_max = float(np.max(multimodal(gx, gy)))
         assert result.best_f > 0.8 * true_max
+
+    def test_maximize_reports_returned_value(self):
+        # 1/(f+1) rounds to 1.0 for every value, so inverting it gives 0.
+        def tiny(x):
+            return 1e-17 * (1.0 + float(x[0]))
+
+        cfg = OptimizationConfig(n_init=6, n_iter=2, seed=16, maximize=True)
+        result = run(tiny, unit_domain(), cfg)
+        assert result.best_f == tiny(result.best_x)
+
+    def test_maximize_rejects_negative_values(self):
+        cfg = OptimizationConfig(n_init=6, n_iter=2, seed=17, maximize=True)
+        with pytest.raises(ObjectiveError, match="negative"):
+            run(lambda x: -0.5 * float(x[0]), unit_domain(), cfg)
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_final_evaluation_repeats_no_point(self, seed, batch_size):
+        # The last iteration has radius 0; without the separation floor it
+        # re-evaluated the corner minimum found at the first iteration.
+        cfg = OptimizationConfig(
+            n_init=6, n_iter=80, decay_exponent=4.0, seed=seed, batch_size=batch_size
+        )
+        result = run(lambda x: float(np.sum(x)), unit_domain(), cfg)
+        points = np.array([rec.x_unit for rec in result.history])
+        assert pdist(points).min() >= 1e-10
 
     def test_radius_used_only_on_subsequent_stage(self):
         cfg = OptimizationConfig(n_init=6, n_iter=3, seed=12)
