@@ -19,10 +19,12 @@ from .cors import (
 )
 from .engine import (
     BatchEvaluationError,
+    DriverError,
     EvaluationRecord,
     ObjectiveError,
     OptimizationConfig,
     OptimizationResult,
+    RunError,
     best_so_far,
     evaluate_batch,
     run,
@@ -46,6 +48,7 @@ from .scaling import (
 __all__ = [
     "BatchEvaluationError",
     "BoundedDomain",
+    "DriverError",
     "EvaluationRecord",
     "LatinHypercube",
     "NamedObjective",
@@ -57,6 +60,7 @@ __all__ = [
     "ProposalSettings",
     "RadiusSchedule",
     "RbfModel",
+    "RunError",
     "SingularFitError",
     "SpaceScaling",
     "best_so_far",

@@ -14,7 +14,9 @@ back on standard output.  Every output file is written atomically
 (temporary file plus rename), and all floats use their shortest
 round-tripping decimal form so identical runs produce byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 objective failure.
+Exit codes: 0 success, 2 configuration error, 3 objective failure, 4 driver
+failure (fitting, rescaling or proposing).  On 3 and 4 the history evaluated
+so far is still written.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 import numpy as np
 
 from .benchmarks import builtin
-from .engine import ObjectiveError, OptimizationConfig, run
+from .engine import DriverError, OptimizationConfig, RunError, run
 from .engine import log as engine_log
 from .lhs import diagonal_lh, improve_lh, spread
 from .rbf import SingularFitError, compute_space_scaling, fit, refit_with_scaling
@@ -44,6 +46,7 @@ from .scaling import BoundedDomain
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_OBJECTIVE = 3
+EXIT_DRIVER = 4
 
 _BUILTIN_NAMES = ("multimodal", "valley", "sphere")
 
@@ -377,11 +380,11 @@ def cmd_run(args) -> int:
     except ObjectiveLaunchError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_OBJECTIVE
-    except ObjectiveError as err:
+    except RunError as err:
         _atomic_write(out, history_to_csv(err.history, spec.domain.dim))
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_OBJECTIVE
-    except (ValueError, SingularFitError) as err:
+        return EXIT_DRIVER if isinstance(err, DriverError) else EXIT_OBJECTIVE
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     finally:

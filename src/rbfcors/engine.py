@@ -36,12 +36,20 @@ class BatchEvaluationError(RuntimeError):
         self.completed = completed
 
 
-class ObjectiveError(RuntimeError):
-    """The objective failed during a run; carries the partial history."""
+class RunError(RuntimeError):
+    """A run stopped early; carries the partial history."""
 
     def __init__(self, message: str, history: list[EvaluationRecord]):
         super().__init__(message)
         self.history = history
+
+
+class ObjectiveError(RunError):
+    """The objective failed or returned an unusable value."""
+
+
+class DriverError(RunError):
+    """Fitting, rescaling or proposing failed after the initial design."""
 
 
 @dataclass(frozen=True)
@@ -101,15 +109,17 @@ class EvaluationRecord:
     """One objective evaluation.
 
     stage is "initial" for the space-filling design and "subsequent"
-    afterwards.  f_raw is the objective as minimized internally, which is
-    1/(f+1) of the returned f when maximizing; f_scaled is its squashed value
-    used for fitting.  radius_used is None for initial-design points.
+    afterwards.  value is what the objective returned; f_raw is the objective
+    as minimized internally, which is 1/(value+1) when maximizing; f_scaled is
+    its squashed value used for fitting.  radius_used is None for
+    initial-design points.
     """
 
     stage: str
     index: int
     x_unit: np.ndarray
     x_original: np.ndarray
+    value: float
     f_raw: float
     f_scaled: float | None
     radius_used: float | None
@@ -175,10 +185,15 @@ def _call_scalar(objective, point) -> float:
 
 
 def best_so_far(history: list[EvaluationRecord]) -> EvaluationRecord:
-    """Record with the lowest f_raw; ties go to the earliest evaluation."""
+    """Record with the lowest f_raw.
+
+    Ties go to the largest returned value, then to the earliest evaluation.
+    The first rule only matters when maximizing, where 1/(value+1) rounds to
+    1.0 for every value below about 1.1e-16.
+    """
     if not history:
         raise ValueError("history is empty")
-    return min(history, key=lambda rec: (rec.f_raw, rec.index))
+    return min(history, key=lambda rec: (rec.f_raw, -rec.value, rec.index))
 
 
 def _evaluate_into(
@@ -189,9 +204,8 @@ def _evaluate_into(
     units,
     proposals: list[Proposal] | None = None,
     rescaler: ObjectiveRescaler | None = None,
-) -> list[float]:
-    """Evaluate unit points as one batch, append a record per value and
-    return the values as the objective returned them.
+) -> None:
+    """Evaluate unit points as one batch and append a record per value.
 
     Without proposals the points are the initial design, recorded unscaled
     and without a radius.  On failure, every call in the batch that returned
@@ -217,6 +231,7 @@ def _evaluate_into(
                 index=start + pos,
                 x_unit=units[pos].copy(),
                 x_original=originals[pos],
+                value=value,
                 f_raw=f_raw,
                 f_scaled=None if rescaler is None else rescaler.rescale(f_raw),
                 radius_used=None if prop is None else prop.radius,
@@ -232,7 +247,6 @@ def _evaluate_into(
             f"rescaling assumes non-negative objectives",
             history,
         )
-    return list(values.values())
 
 
 def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> OptimizationResult:
@@ -241,13 +255,15 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
     The objective receives points in original (bounded) coordinates and must
     return a finite non-negative scalar.  Exactly n_init + n_iter evaluations
     are spent; each batch logs one INFO progress record to rbfcors.engine.
+    A failure after the initial design raises ObjectiveError or DriverError,
+    either carrying the history so far.
     """
     config.validate(domain.dim)
     rng = np.random.default_rng(config.seed)
 
     lh = improve_lh(diagonal_lh(config.n_init, domain.dim), config.lh_attempts, rng)
     history: list[EvaluationRecord] = []
-    returned = _evaluate_into(history, objective, domain, config, lh.unit_points())
+    _evaluate_into(history, objective, domain, config, lh.unit_points())
 
     rescaler = fit_rescaler(np.array([rec.f_raw for rec in history]), config.keep_fraction)
     history = [
@@ -267,27 +283,31 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
             k = min(batch, config.n_iter - iteration + 1)
             centers = np.array([rec.x_unit for rec in history])
             scaled_values = np.array([rec.f_scaled for rec in history])
-            model = fit(centers, scaled_values)
-            if config.use_space_rescaling:
-                scaling = compute_space_scaling(
-                    model, config.cloud_size, config.best_fraction, rng
+            try:
+                model = fit(centers, scaled_values)
+                if config.use_space_rescaling:
+                    scaling = compute_space_scaling(
+                        model, config.cloud_size, config.best_fraction, rng
+                    )
+                    model = refit_with_scaling(centers, scaled_values, scaling)
+                incumbent = best_so_far(history)
+                proposals = propose_batch(
+                    model,
+                    centers,
+                    schedule,
+                    iteration,
+                    k,
+                    rng,
+                    config.proposal,
+                    incumbent.x_unit,
                 )
-                model = refit_with_scaling(centers, scaled_values, scaling)
-            incumbent = best_so_far(history)
-            proposals = propose_batch(
-                model,
-                centers,
-                schedule,
-                iteration,
-                k,
-                rng,
-                config.proposal,
-                incumbent.x_unit,
-            )
+            except Exception as exc:
+                # Any failure here is the driver's; the history is still worth keeping.
+                raise DriverError(
+                    f"driver failed at iteration {iteration}: {exc}", history
+                ) from exc
             units = [p.x for p in proposals]
-            returned += _evaluate_into(
-                history, objective, domain, config, units, proposals, rescaler
-            )
+            _evaluate_into(history, objective, domain, config, units, proposals, rescaler)
             last = iteration + k - 1
             rho, best = schedule.density(last), best_so_far(history).f_raw
             log.info(
@@ -298,7 +318,7 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
     best = best_so_far(history)
     return OptimizationResult(
         best_x=best.x_original.copy(),
-        best_f=returned[best.index],
+        best_f=best.value,
         history=history,
         rescaler=rescaler,
     )

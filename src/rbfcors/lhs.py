@@ -85,12 +85,9 @@ def _touched_pair_terms(coords: np.ndarray, k1: int, k2: int) -> float:
     """
     mask = np.ones(coords.shape[0], dtype=bool)
     mask[[k1, k2]] = False
-    total = 0.0
-    for k in (k1, k2):
-        diff = coords[mask] - coords[k]
-        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        total += float(np.sum(1.0 / dists))
-    return total
+    diff = coords[mask][None, :, :] - coords[[k1, k2]][:, None, :]
+    inv = (1.0 / np.sqrt(np.einsum("kij,kij->ki", diff, diff))).sum(axis=1)
+    return float(inv[0]) + float(inv[1])
 
 
 def improve_lh(lh: LatinHypercube, attempts: int = 1000, rng: np.random.Generator | None = None) -> LatinHypercube:

@@ -9,8 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+import rbfcors.engine
 from rbfcors.cli import (
     EXIT_CONFIG,
+    EXIT_DRIVER,
     EXIT_OBJECTIVE,
     EXIT_OK,
     format_float,
@@ -18,7 +20,7 @@ from rbfcors.cli import (
     main,
     parse_history,
 )
-from rbfcors.rbf import fit
+from rbfcors.rbf import SingularFitError, fit
 
 
 def write_config(path, **overrides):
@@ -71,6 +73,26 @@ class TestRunCommand:
             assert len(lines) == batches
             assert all(line.fullmatch(text) for text in lines)
             assert lines[-1].startswith(f"iter={n_iter} ")
+
+    def test_driver_failure_exits_four_with_partial_history(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = 0
+
+        def failing_fit(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == 3:
+                raise SingularFitError("injected fit failure")
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(rbfcors.engine, "fit", failing_fit)
+        cfg = write_config(tmp_path / "cfg.json", n_init=10, n_iter=5, batch_size=1)
+        out = tmp_path / "hist.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_DRIVER
+        # header + 10 initial + the 2 batches fitted before the failing third
+        assert len(out.read_text().splitlines()) == 13
+        assert "injected fit failure" in capsys.readouterr().err
 
     def test_valley_converges_near_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", n_init=20, n_iter=10, seed=3)

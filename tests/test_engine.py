@@ -103,6 +103,7 @@ class TestBestSoFar:
                 index=index,
                 x_unit=np.zeros(2),
                 x_original=np.zeros(2),
+                value=value,
                 f_raw=value,
                 f_scaled=None,
                 radius_used=None,
@@ -111,6 +112,16 @@ class TestBestSoFar:
 
         history = [record(0, 3.0), record(1, 1.0), record(2, 1.0)]
         assert best_so_far(history).index == 1
+
+    def test_wrapped_ties_break_to_largest_returned_value(self):
+        # Under maximize, 1/(value+1) rounds to 1.0 for every value below
+        # about 1.1e-16, so distinct returned values share one f_raw.
+        cfg = OptimizationConfig(n_init=6, n_iter=2, seed=16, maximize=True)
+        result = run(lambda x: 1e-17 * (1.0 + float(x[0])), unit_domain(), cfg)
+        assert len({rec.f_raw for rec in result.history}) == 1
+        largest = max(result.history, key=lambda rec: rec.value)
+        assert result.best_f == largest.value
+        np.testing.assert_array_equal(result.best_x, largest.x_original)
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+import rbfcors.rbf
 from rbfcors.rbf import (
     RbfModel,
     SingularFitError,
@@ -20,6 +24,26 @@ def random_instance(rng, dim, n_points):
     points = rng.random((n_points, dim))
     values = rng.normal(size=n_points)
     return points, values
+
+
+# Centers 5e-10 apart, just above the duplicate cutoff: the kernel block is
+# nearly singular.
+NEAR_DUPLICATE_POINTS = np.array([[0.2, 0.2], [0.2, 0.2 + 5e-10], [0.8, 0.3], [0.4, 0.9]])
+NEAR_DUPLICATE_VALUES = np.array([1.0, 1.0, 2.0, 3.0])
+
+
+@pytest.fixture
+def getrf_calls(monkeypatch):
+    """Count the LU factorizations fit performs."""
+    calls = []
+
+    def counted(system, *args, **kwargs):
+        calls.append(system.shape)
+        return getrf(system, *args, **kwargs)
+
+    getrf = rbfcors.rbf.dgetrf
+    monkeypatch.setattr(rbfcors.rbf, "dgetrf", counted)
+    return calls
 
 
 class TestFit:
@@ -69,11 +93,9 @@ class TestFit:
             fit(points, np.array([1.0, 2.0, 2.0, 3.0]))
 
     def test_near_duplicate_centers_do_not_hang(self):
-        # Separation just above the hard duplicate cutoff: the solver either
-        # recovers via the diagonal nudge or raises; both are acceptable, a
-        # silent non-finite model is not.
-        points = np.array([[0.2, 0.2], [0.2, 0.2 + 5e-10], [0.8, 0.3], [0.4, 0.9]])
-        values = np.array([1.0, 1.0, 2.0, 3.0])
+        # The solver either recovers via the diagonal nudge or raises; both
+        # are acceptable, a silent non-finite model is not.
+        points, values = NEAR_DUPLICATE_POINTS, NEAR_DUPLICATE_VALUES
         try:
             model = fit(points, values)
         except SingularFitError:
@@ -95,6 +117,67 @@ class TestFit:
             model = fit(points, values)
             residual = np.abs(model.evaluate_many(points) - values).max()
             assert residual <= 1e-6
+
+
+class TestConditionEstimate:
+    def test_estimate_tracks_exact_one_norm_condition(self, monkeypatch):
+        systems = []
+        factor = rbfcors.rbf._factor
+
+        def recording(system):
+            systems.append(system.copy())
+            return factor(system)
+
+        monkeypatch.setattr(rbfcors.rbf, "_factor", recording)
+        rng = np.random.default_rng(13)
+        for dim, n in ((1, 5), (2, 30), (3, 60), (5, 120)):
+            fit(*random_instance(rng, dim, n))
+        matrices = systems + [rng.normal(size=(k, k)) for k in (3, 20, 80)]
+        for system in matrices:
+            _, estimate = factor(system)
+            exact = np.linalg.cond(system, 1)
+            assert exact / 10 <= estimate <= exact * 10
+
+    def test_singular_and_non_finite_systems_estimate_inf(self):
+        singular = np.ones((4, 4))
+        assert rbfcors.rbf._factor(singular) == (None, math.inf)
+        broken = np.eye(3)
+        broken[1, 2] = np.nan
+        assert rbfcors.rbf._factor(broken) == (None, math.inf)
+
+    def test_one_factorization_without_svd(self, monkeypatch, getrf_calls):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fit must not compute an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        monkeypatch.setattr(np.linalg, "cond", forbidden)
+        rng = np.random.default_rng(14)
+        points, values = random_instance(rng, 2, 25)
+        model = fit(points, values)
+        np.testing.assert_allclose(model.evaluate_many(points), values, atol=1e-8)
+        assert getrf_calls == [(28, 28)]
+
+    def test_estimate_above_limit_takes_nudge_path(self, caplog, getrf_calls):
+        with caplog.at_level(logging.DEBUG, logger="rbfcors.rbf"):
+            model = fit(NEAR_DUPLICATE_POINTS, NEAR_DUPLICATE_VALUES)
+        (record,) = caplog.records
+        estimate = float(record.args[1])
+        assert estimate > rbfcors.rbf._CONDITION_LIMIT
+        assert record.getMessage().endswith("nudge fired")
+        assert getrf_calls == [(7, 7), (7, 7)]
+        assert np.all(np.isfinite(model.weights))
+
+    def test_debug_record_names_estimate_and_nudge(self, caplog):
+        rng = np.random.default_rng(15)
+        with caplog.at_level(logging.DEBUG, logger="rbfcors.rbf"):
+            fit(*random_instance(rng, 2, 12))
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert re.fullmatch(
+            r"rbf fit: system size 15, 1-norm condition estimate \d\.\d{3}e[+-]\d+, "
+            r"nudge not fired",
+            record.getMessage(),
+        )
 
 
 class TestSpaceScaling:
@@ -173,6 +256,21 @@ class TestRbfModel:
             model.evaluate(np.array([0.1, 0.2, 0.3]))
         with pytest.raises(ValueError):
             model.evaluate_many(rng.random((4, 3)))
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_evaluate_many_matches_direct_formula_bitwise(self, scaled):
+        rng = np.random.default_rng(16)
+        points, values = random_instance(rng, 3, 20)
+        scaling = rng.normal(size=(3, 3)) if scaled else None
+        model = fit(points, values, scaling)
+        T = model.scaling
+        fresh = rng.random((200, 3))
+        expected = (
+            cdist(fresh @ T.T, points @ T.T) ** 3 @ model.weights
+            + fresh @ model.tail_linear
+            + model.tail_const
+        )
+        np.testing.assert_array_equal(model.evaluate_many(fresh), expected)
 
     def test_model_is_cubic_in_distance(self):
         # One center with zero tail: value grows as distance cubed.
