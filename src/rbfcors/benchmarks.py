@@ -62,33 +62,25 @@ class NamedObjective:
     evaluate_many: Callable[[np.ndarray], np.ndarray] | None = None
 
 
+_PLANAR = {"multimodal": multimodal, "valley": valley}
+BUILTIN_NAMES = (*_PLANAR, "sphere")
+
+
 def builtin(name: str, dim: int = 2) -> NamedObjective:
     """Look up a benchmark by name.
 
     multimodal and valley are fixed to two dimensions on the unit square;
     sphere accepts any dimension.
     """
-    if name == "multimodal":
+    if name in _PLANAR:
+        function = _PLANAR[name]
         return NamedObjective(
-            name="multimodal",
+            name=name,
             dim=2,
             lower=np.zeros(2),
             upper=np.ones(2),
-            evaluate=lambda p: float(multimodal(p[0], p[1])),
-            evaluate_many=lambda pts: np.asarray(
-                multimodal(pts[:, 0], pts[:, 1]), dtype=float
-            ),
-        )
-    if name == "valley":
-        return NamedObjective(
-            name="valley",
-            dim=2,
-            lower=np.zeros(2),
-            upper=np.ones(2),
-            evaluate=lambda p: float(valley(p[0], p[1])),
-            evaluate_many=lambda pts: np.asarray(
-                valley(pts[:, 0], pts[:, 1]), dtype=float
-            ),
+            evaluate=lambda p: float(function(p[0], p[1])),
+            evaluate_many=lambda pts: np.asarray(function(pts[:, 0], pts[:, 1]), dtype=float),
         )
     if name == "sphere":
         if dim < 1:
@@ -101,7 +93,7 @@ def builtin(name: str, dim: int = 2) -> NamedObjective:
             evaluate=sphere,
             evaluate_many=lambda pts: np.sum((pts - 0.5) ** 2, axis=1),
         )
-    raise KeyError(f"unknown benchmark {name!r}; choose multimodal, valley, or sphere")
+    raise KeyError(f"unknown benchmark {name!r}; choose {', '.join(BUILTIN_NAMES)}")
 
 
 def grid_oracle(objective: NamedObjective, resolution: int = 1001):

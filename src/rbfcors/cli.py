@@ -14,9 +14,9 @@ back on standard output.  Every output file is written atomically
 (temporary file plus rename), and all floats use their shortest
 round-tripping decimal form so identical runs produce byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 objective failure, 4 driver
-failure (fitting, rescaling or proposing).  On 3 and 4 the history evaluated
-so far is still written.
+Exit codes: 0 success, 2 configuration error (including an unwritable output
+path), 3 objective failure, 4 driver failure (fitting, rescaling or
+proposing).  On 3 and 4 the history evaluated so far is still written.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .benchmarks import builtin
-from .engine import DriverError, OptimizationConfig, RunError, run
+from .benchmarks import BUILTIN_NAMES, NamedObjective, builtin
+from .engine import DriverError, ObjectiveError, OptimizationConfig, RunError, run
 from .engine import log as engine_log
 from .lhs import diagonal_lh, improve_lh, spread
 from .rbf import SingularFitError, compute_space_scaling, fit, refit_with_scaling
@@ -47,8 +47,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_OBJECTIVE = 3
 EXIT_DRIVER = 4
-
-_BUILTIN_NAMES = ("multimodal", "valley", "sphere")
 
 
 class ConfigError(Exception):
@@ -131,8 +129,7 @@ class RunSpec:
 
     config: OptimizationConfig
     domain: BoundedDomain
-    objective_name: str | None
-    objective_command: list[str] | None
+    objective: NamedObjective | list[str]  # a built-in sized to domain, or an argv
     history_out: str
 
 
@@ -156,27 +153,7 @@ def load_run_config(path: str) -> RunSpec:
         raise ConfigError("missing required key 'objective'")
     config = _settings_from_json(raw, OptimizationConfig, doc)
 
-    objective = values["objective"]
-    objective_name: str | None = None
-    objective_command: list[str] | None = None
-    if isinstance(objective, str):
-        if objective not in _BUILTIN_NAMES:
-            raise _located(
-                raw,
-                "objective",
-                f"unknown objective {objective!r}; built-ins are "
-                f"{', '.join(_BUILTIN_NAMES)} (use a JSON array for an "
-                f"external command)",
-            )
-        objective_name = objective
-    else:
-        if not objective or not all(isinstance(part, str) for part in objective):
-            raise _located(
-                raw, "objective", "external objective must be a non-empty array of strings"
-            )
-        objective_command = list(objective)
-
-    domain = _resolve_domain(raw, values, objective_name)
+    objective, domain = _resolve_objective(raw, values)
     try:
         config.validate(domain.dim)
     except ValueError as err:
@@ -184,51 +161,64 @@ def load_run_config(path: str) -> RunSpec:
     return RunSpec(
         config=config,
         domain=domain,
-        objective_name=objective_name,
-        objective_command=objective_command,
+        objective=objective,
         history_out=values.get("history_out", "history.csv"),
     )
 
 
-def _resolve_domain(raw: str, values: dict, objective_name: str | None) -> BoundedDomain:
-    has_bounds = "lower" in values or "upper" in values
-    if has_bounds and not ("lower" in values and "upper" in values):
+def _resolve_objective(raw: str, values: dict) -> tuple[NamedObjective | list[str], BoundedDomain]:
+    """The objective, a built-in sized to the bounds or an argv, and its domain."""
+    objective = values["objective"]
+    if isinstance(objective, str) and objective not in BUILTIN_NAMES:
+        raise _located(
+            raw,
+            "objective",
+            f"unknown objective {objective!r}; built-ins are "
+            f"{', '.join(BUILTIN_NAMES)} (use a JSON array for an "
+            f"external command)",
+        )
+    if isinstance(objective, list) and not (
+        objective and all(isinstance(part, str) for part in objective)
+    ):
+        raise _located(raw, "objective", "external objective must be a non-empty array of strings")
+
+    if ("lower" in values) != ("upper" in values):
         raise _located(raw, "lower", "lower and upper must be given together")
-    if objective_name is None and not has_bounds:
-        raise ConfigError("external objectives require explicit lower and upper bounds")
+    if "lower" not in values:
+        if isinstance(objective, list):
+            raise ConfigError("external objectives require explicit lower and upper bounds")
+        named = builtin(objective)
+        return named, BoundedDomain(named.lower, named.upper)
 
-    if has_bounds:
+    bounds = []
+    for key in ("lower", "upper"):
         try:
-            lower = np.asarray(values["lower"], dtype=float)
-            upper = np.asarray(values["upper"], dtype=float)
+            bounds.append(np.asarray(values[key], dtype=float))
         except (TypeError, ValueError):
-            raise _located(raw, "lower", "bounds must be arrays of numbers")
-        try:
-            domain = BoundedDomain(lower, upper)
-        except ValueError as err:
-            raise _located(raw, "lower", str(err))
-    else:
-        domain = None
+            raise _located(raw, key, f"{key} must be an array of numbers")
+    try:
+        domain = BoundedDomain(*bounds)
+    except ValueError as err:
+        raise _located(raw, "lower", str(err))
+    if isinstance(objective, list):
+        return objective, domain
 
-    if objective_name is not None:
-        obj = builtin(objective_name, dim=domain.dim if domain is not None else 2)
-        if domain is None:
-            return BoundedDomain(obj.lower, obj.upper)
-        if domain.dim != obj.dim:
-            raise _located(
-                raw,
-                "lower",
-                f"objective {objective_name!r} is {obj.dim}-dimensional, "
-                f"bounds have {domain.dim} entries",
-            )
-        if np.any(domain.lower < obj.lower) or np.any(domain.upper > obj.upper):
-            raise _located(
-                raw,
-                "lower",
-                f"bounds must lie within the {objective_name!r} domain "
-                f"[{obj.lower.tolist()}, {obj.upper.tolist()}]",
-            )
-    return domain
+    named = builtin(objective, dim=domain.dim)
+    if domain.dim != named.dim:
+        raise _located(
+            raw,
+            "lower",
+            f"objective {objective!r} is {named.dim}-dimensional, "
+            f"bounds have {domain.dim} entries",
+        )
+    if np.any(domain.lower < named.lower) or np.any(domain.upper > named.upper):
+        raise _located(
+            raw,
+            "lower",
+            f"bounds must lie within the {objective!r} domain "
+            f"[{named.lower.tolist()}, {named.upper.tolist()}]",
+        )
+    return named, domain
 
 
 class CommandObjective:
@@ -275,17 +265,17 @@ class CommandObjective:
 
     def close(self) -> None:
         for proc in self._procs:
-            if proc.stdin is not None:
-                try:
-                    proc.stdin.close()
-                except OSError:
-                    pass
+            try:
+                proc.stdin.close()
+            except OSError:
+                pass
         for proc in self._procs:
             try:
                 proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
 
 
 def format_float(value) -> str:
@@ -297,7 +287,10 @@ def _atomic_write(path: str, text: str) -> None:
     """Write text to path via a temporary file so readers never see a
     half-written file and failures leave any existing file untouched."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror}")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -354,15 +347,14 @@ def parse_history(path: str) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(points), np.asarray(raw)
 
 
-def cmd_run(args) -> int:
-    try:
-        spec = load_run_config(args.config)
-        overrides = {"seed": args.seed, "workers": args.workers}
-        config = replace(spec.config, **{k: v for k, v in overrides.items() if v is not None})
-    except (ConfigError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_run(args) -> None:
+    spec = load_run_config(args.config)
+    overrides = {"seed": args.seed, "workers": args.workers}
+    config = replace(spec.config, **{k: v for k, v in overrides.items() if v is not None})
     out = args.out if args.out is not None else spec.history_out
+    # Checked before the first evaluation so a bad path cannot cost the run.
+    if not os.access(os.path.dirname(os.path.abspath(out)), os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write {out}: its directory is missing or not writable")
 
     # Progress records go to stderr as bare messages (the default format) during the run.
     progress = logging.StreamHandler(sys.stderr)
@@ -371,22 +363,14 @@ def cmd_run(args) -> int:
     engine_log.setLevel(logging.INFO)
     pool: CommandObjective | None = None
     try:
-        if spec.objective_command is not None:
-            pool = CommandObjective(spec.objective_command, config.workers)
-            objective = pool
+        if isinstance(spec.objective, NamedObjective):
+            objective = spec.objective.evaluate
         else:
-            objective = builtin(spec.objective_name, dim=spec.domain.dim).evaluate
+            objective = pool = CommandObjective(spec.objective, config.workers)
         result = run(objective, spec.domain, config)
-    except ObjectiveLaunchError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_OBJECTIVE
     except RunError as err:
         _atomic_write(out, history_to_csv(err.history, spec.domain.dim))
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DRIVER if isinstance(err, DriverError) else EXIT_OBJECTIVE
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise
     finally:
         engine_log.removeHandler(progress)
         engine_log.setLevel(level)
@@ -396,41 +380,31 @@ def cmd_run(args) -> int:
     _atomic_write(out, history_to_csv(result.history, spec.domain.dim))
     best_x = ",".join(format_float(v) for v in result.best_x)
     print(f"best_x={best_x} best_f={format_float(result.best_f)}")
-    return EXIT_OK
 
 
-def cmd_lhs(args) -> int:
-    try:
-        base = diagonal_lh(args.n, args.d)
-        initial_spread = spread(base.unit_points())
-        improved = improve_lh(base, args.attempts, np.random.default_rng(args.seed))
-        final_spread = spread(improved.unit_points())
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_lhs(args) -> None:
+    base = diagonal_lh(args.n, args.d)
+    initial_spread = spread(base.unit_points())
+    improved = improve_lh(base, args.attempts, np.random.default_rng(args.seed))
+    final_spread = spread(improved.unit_points())
     lines = [",".join(f"x_{i + 1}" for i in range(args.d))]
     for row in improved.unit_points():
         lines.append(",".join(format_float(c) for c in row))
     lines.append(f"# spread={format_float(initial_spread)} -> {format_float(final_spread)}")
     _atomic_write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
 
 
-def cmd_surface(args) -> int:
-    try:
-        points, raw_values = parse_history(args.history)
-        d = points.shape[1]
-        if d != 2:
-            raise ConfigError(f"surface grid requires a 2-dimensional history, got d={d}")
-        if args.resolution < 2:
-            raise ConfigError(f"resolution must be at least 2, got {args.resolution}")
-        model = fit(points, raw_values)
-        if args.scaled:
-            scaling = compute_space_scaling(model, rng=np.random.default_rng(args.seed))
-            model = refit_with_scaling(points, raw_values, scaling)
-    except (ConfigError, ValueError, SingularFitError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_surface(args) -> None:
+    points, raw_values = parse_history(args.history)
+    d = points.shape[1]
+    if d != 2:
+        raise ConfigError(f"surface grid requires a 2-dimensional history, got d={d}")
+    if args.resolution < 2:
+        raise ConfigError(f"resolution must be at least 2, got {args.resolution}")
+    model = fit(points, raw_values)
+    if args.scaled:
+        scaling = compute_space_scaling(model, rng=np.random.default_rng(args.seed))
+        model = refit_with_scaling(points, raw_values, scaling)
     axis = np.linspace(0.0, 1.0, args.resolution)
     first, second = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([first.ravel(), second.ravel()], axis=1)
@@ -442,7 +416,6 @@ def cmd_surface(args) -> int:
     for row in values:
         lines.append(",".join(format_float(v) for v in row))
     _atomic_write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,9 +474,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code per failure a subcommand may raise; any other exception is a bug.
+_EXIT_CODES = {
+    DriverError: EXIT_DRIVER,
+    ObjectiveError: EXIT_OBJECTIVE,
+    ObjectiveLaunchError: EXIT_OBJECTIVE,
+    ConfigError: EXIT_CONFIG,
+    ValueError: EXIT_CONFIG,
+    SingularFitError: EXIT_CONFIG,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except tuple(_EXIT_CODES) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(err, cls))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

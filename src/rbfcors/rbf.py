@@ -106,8 +106,9 @@ def fit(points, values, scaling: np.ndarray | None = None) -> RbfModel:
     """Interpolate (points, values) with a cubic RBF plus linear tail.
 
     Needs n >= d + 2 pairwise-distinct points so the augmented system is
-    square and generically nonsingular.  The system is LU-factored once, and
-    LAPACK's estimate of its 1-norm condition number comes from those factors.
+    square and generically nonsingular; points, values and scaling must be
+    finite.  The system is LU-factored once, and LAPACK's estimate of its
+    1-norm condition number comes from those factors.
     If the estimate exceeds 1e12 (or the solve fails) a tiny diagonal
     perturbation is added to the kernel block and the solve retried once;
     near-duplicate centers naturally appear late in an optimization run, when
@@ -128,6 +129,9 @@ def fit(points, values, scaling: np.ndarray | None = None) -> RbfModel:
     T = np.eye(d) if scaling is None else np.asarray(scaling, dtype=float)
     if T.shape != (d, d):
         raise ValueError(f"scaling matrix must be {d}x{d}, got {T.shape}")
+    for name, array in (("points", pts), ("values", vals), ("scaling", T)):
+        if not np.all(np.isfinite(array)):
+            raise ValueError(f"{name} must be finite, got NaN or infinity")
 
     scaled = pts @ T.T
     kernel = cdist(scaled, scaled) ** 3

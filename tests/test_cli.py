@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import rbfcors.cli
 import rbfcors.engine
 from rbfcors.cli import (
     EXIT_CONFIG,
@@ -181,6 +182,35 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
         assert "within" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["lower", "upper"])
+    def test_malformed_bound_located_at_its_own_key(self, tmp_path, capsys, key):
+        bounds = {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+        bounds[key] = [0.5, "a"]
+        cfg = write_config(tmp_path / "cfg.json", **bounds)
+        line = next(
+            i
+            for i, text in enumerate(cfg.read_text().splitlines(), start=1)
+            if f'"{key}"' in text
+        )
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"line {line}: {key} must be an array of numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via_flag", [False, True])
+    def test_unwritable_output_rejected_before_any_evaluation(
+        self, tmp_path, capsys, monkeypatch, via_flag
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(rbfcors.cli, "run", no_run)
+        out = str(tmp_path / "nodir" / "hist.csv")
+        if via_flag:
+            argv = ["--config", str(write_config(tmp_path / "cfg.json")), "--out", out]
+        else:
+            argv = ["--config", str(write_config(tmp_path / "cfg.json", history_out=out))]
+        assert main(["run", *argv]) == EXIT_CONFIG
+        assert f"cannot write {out}" in capsys.readouterr().err
+
     def test_narrowed_bounds_accepted(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json", lower=[0.25, 0.25], upper=[0.75, 0.75]
@@ -326,6 +356,12 @@ class TestLhsCommand:
         assert main(["lhs", "--n", "1", "--d", "2", "--out", str(out)]) == EXIT_CONFIG
         assert "n must be" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_output_exits_two_naming_path(self, tmp_path, capsys):
+        out = str(tmp_path / "nodir" / "design.csv")
+        assert main(["lhs", "--n", "5", "--d", "2", "--out", out]) == EXIT_CONFIG
+        message = capsys.readouterr().err
+        assert f"cannot write {out}" in message and ".part" not in message
 
 
 class TestSurfaceCommand:

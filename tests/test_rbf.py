@@ -92,6 +92,19 @@ class TestFit:
         with pytest.raises(SingularFitError):
             fit(points, np.array([1.0, 2.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize(
+        "argument, bad",
+        [("points", np.nan), ("values", np.nan), ("values", np.inf), ("scaling", np.inf)],
+    )
+    def test_non_finite_input_rejected_by_name(self, argument, bad, getrf_calls):
+        rng = np.random.default_rng(5)
+        points, values = random_instance(rng, 2, 8)
+        inputs = {"points": points, "values": values, "scaling": np.eye(2)}
+        inputs[argument].flat[1] = bad
+        with pytest.raises(ValueError, match=rf"^{argument}\b.* must be finite"):
+            fit(**inputs)
+        assert getrf_calls == []  # rejected before any factorization
+
     def test_near_duplicate_centers_do_not_hang(self):
         # The solver either recovers via the diagonal nudge or raises; both
         # are acceptable, a silent non-finite model is not.
