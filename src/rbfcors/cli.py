@@ -283,9 +283,18 @@ def format_float(value) -> str:
     return repr(float(value))
 
 
+def _check_writable(path: str) -> None:
+    """Raise ConfigError naming path unless a file can be written there."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    if not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write {path}: its directory is missing or not writable")
+
+
 def _atomic_write(path: str, text: str) -> None:
     """Write text to path via a temporary file so readers never see a
     half-written file and failures leave any existing file untouched."""
+    _check_writable(path)
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
@@ -353,8 +362,7 @@ def cmd_run(args) -> None:
     config = replace(spec.config, **{k: v for k, v in overrides.items() if v is not None})
     out = args.out if args.out is not None else spec.history_out
     # Checked before the first evaluation so a bad path cannot cost the run.
-    if not os.access(os.path.dirname(os.path.abspath(out)), os.W_OK | os.X_OK):
-        raise ConfigError(f"cannot write {out}: its directory is missing or not writable")
+    _check_writable(out)
 
     # Progress records go to stderr as bare messages (the default format) during the run.
     progress = logging.StreamHandler(sys.stderr)

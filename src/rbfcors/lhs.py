@@ -77,17 +77,22 @@ def diagonal_lh(n: int, d: int) -> LatinHypercube:
     return LatinHypercube(np.tile(np.arange(n), (max(d, 0), 1)))
 
 
-def _touched_pair_terms(coords: np.ndarray, k1: int, k2: int) -> float:
-    """Sum of 1/dist over the pairs whose distance a (k1, k2) swap can change.
+def _swap_terms(coords: np.ndarray, k1: int, k2: int, axis: int) -> tuple[float, float]:
+    """Sums of 1/dist over the pairs a (k1, k2) swap on axis can change,
+    before and after the swap.
 
     Those are all pairs containing exactly one of k1, k2; the k1-k2 distance
-    itself is invariant under swapping one coordinate between them.
+    itself is invariant under swapping one coordinate between them.  The
+    other points do not move, so they are taken once and the four touched
+    rows (k1, k2 before, then after) are measured against them together.
     """
     mask = np.ones(coords.shape[0], dtype=bool)
     mask[[k1, k2]] = False
-    diff = coords[mask][None, :, :] - coords[[k1, k2]][:, None, :]
+    touched = coords[[k1, k2, k1, k2]]
+    touched[2:, axis] = touched[1::-1, axis]
+    diff = coords[mask][None, :, :] - touched[:, None, :]
     inv = (1.0 / np.sqrt(np.einsum("kij,kij->ki", diff, diff))).sum(axis=1)
-    return float(inv[0]) + float(inv[1])
+    return float(inv[0]) + float(inv[1]), float(inv[2]) + float(inv[3])
 
 
 def improve_lh(lh: LatinHypercube, attempts: int = 1000, rng: np.random.Generator | None = None) -> LatinHypercube:
@@ -114,13 +119,9 @@ def improve_lh(lh: LatinHypercube, attempts: int = 1000, rng: np.random.Generato
     for _ in range(attempts):
         axis = int(rng.integers(d))
         k1, k2 = (int(i) for i in rng.choice(n, size=2, replace=False))
-        before = _touched_pair_terms(coords, k1, k2)
-        c1, c2 = coords[k1, axis], coords[k2, axis]
-        coords[k1, axis], coords[k2, axis] = c2, c1
-        after = _touched_pair_terms(coords, k1, k2)
+        before, after = _swap_terms(coords, k1, k2, axis)
         if after < before:
             perms[axis, k1], perms[axis, k2] = perms[axis, k2], perms[axis, k1]
-        else:
-            coords[k1, axis], coords[k2, axis] = c1, c2
+            coords[k1, axis], coords[k2, axis] = coords[k2, axis], coords[k1, axis]
 
     return LatinHypercube(perms)

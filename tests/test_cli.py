@@ -211,6 +211,17 @@ class TestRunCommand:
         assert main(["run", *argv]) == EXIT_CONFIG
         assert f"cannot write {out}" in capsys.readouterr().err
 
+    def test_directory_output_rejected_before_any_evaluation(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(rbfcors.cli, "run", no_run)
+        out = tmp_path / "existing"
+        out.mkdir()
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert f"cannot write {out}: it is a directory" in capsys.readouterr().err
+
     def test_narrowed_bounds_accepted(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json", lower=[0.25, 0.25], upper=[0.75, 0.75]
@@ -362,6 +373,12 @@ class TestLhsCommand:
         assert main(["lhs", "--n", "5", "--d", "2", "--out", out]) == EXIT_CONFIG
         message = capsys.readouterr().err
         assert f"cannot write {out}" in message and ".part" not in message
+
+
+    def test_directory_output_exits_two_naming_path(self, tmp_path, capsys):
+        assert main(["lhs", "--n", "5", "--d", "2", "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no temporary file left behind
 
 
 class TestSurfaceCommand:

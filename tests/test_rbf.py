@@ -5,6 +5,8 @@ from __future__ import annotations
 import logging
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -191,6 +193,167 @@ class TestConditionEstimate:
             r"nudge not fired",
             record.getMessage(),
         )
+
+
+# Every point on the line x_1 = x_2: the linear tail is rank-deficient, so
+# the system stays singular even after the diagonal nudge.
+COLLINEAR_POINTS = np.array([[0.0, 0.0], [0.25, 0.25], [0.5, 0.5], [1.0, 1.0]])
+
+
+class OpenBlasThreads:
+    """The process's real OpenBLAS controls, each set to a count other than
+    one, with every set call the fit scope makes recorded."""
+
+    PRIOR = 2
+
+    def __init__(self, controls):
+        self.controls = controls
+        self.sets = []
+        self.inside = []
+
+    def counts(self):
+        return [get_threads() for get_threads, _ in self.controls]
+
+    def recording(self):
+        def recorded(set_threads):
+            def call(count):
+                self.sets.append(count)
+                set_threads(count)
+
+            return call
+
+        return [(get_threads, recorded(set_threads)) for get_threads, set_threads in self.controls]
+
+
+@pytest.fixture
+def blas_threads(monkeypatch):
+    """Real OpenBLAS counts set to 2 for the test and restored after it; the
+    fit scope uses recording controls, and dgetrf notes the counts it runs at."""
+    controls = rbfcors.rbf._find_openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    original = [get_threads() for get_threads, _ in controls]
+    threads = OpenBlasThreads(controls)
+    for _, set_threads in controls:
+        set_threads(OpenBlasThreads.PRIOR)
+    monkeypatch.setattr(rbfcors.rbf._one_blas_thread, "controls", threads.recording())
+    getrf = rbfcors.rbf.dgetrf
+
+    def noting(system, *args, **kwargs):
+        threads.inside.append(threads.counts())
+        return getrf(system, *args, **kwargs)
+
+    monkeypatch.setattr(rbfcors.rbf, "dgetrf", noting)
+    yield threads
+    for (_, set_threads), count in zip(controls, original):
+        set_threads(count)
+
+
+class TestBlasThreadScope:
+    def test_fit_factors_on_one_thread_and_restores_the_count(self, blas_threads):
+        prior = blas_threads.counts()
+        rng = np.random.default_rng(17)
+        fit(*random_instance(rng, 2, 40))
+        assert blas_threads.counts() == prior == [OpenBlasThreads.PRIOR] * len(prior)
+        assert blas_threads.inside == [[1] * len(prior)]
+        assert blas_threads.sets == [1] * len(prior) + prior
+
+    def test_count_restored_when_fit_is_singular(self, blas_threads):
+        prior = blas_threads.counts()
+        with pytest.raises(SingularFitError):
+            fit(COLLINEAR_POINTS, np.array([1.0, 2.0, 3.0, 4.0]))
+        assert blas_threads.inside  # the failure came from inside the scope
+        assert blas_threads.counts() == prior
+
+    def test_count_restored_when_the_solve_raises(self, blas_threads, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("gecon failed")
+
+        monkeypatch.setattr(rbfcors.rbf, "dgecon", broken)
+        prior = blas_threads.counts()
+        rng = np.random.default_rng(18)
+        with pytest.raises(ValueError, match="gecon failed"):
+            fit(*random_instance(rng, 2, 10))
+        assert blas_threads.inside == [[1] * len(prior)]
+        assert blas_threads.counts() == prior
+
+    def test_concurrent_fits_save_and_restore_once(self, blas_threads, monkeypatch):
+        # Both fits wait for each other inside dgetrf, so their scopes overlap.
+        both_inside = threading.Barrier(2, timeout=10.0)
+        getrf = rbfcors.rbf.dgetrf
+
+        def meeting(system, *args, **kwargs):
+            result = getrf(system, *args, **kwargs)
+            both_inside.wait()
+            return result
+
+        monkeypatch.setattr(rbfcors.rbf, "dgetrf", meeting)
+        prior = blas_threads.counts()
+        errors = []
+
+        def fit_one(seed):
+            try:
+                fit(*random_instance(np.random.default_rng(seed), 2, 30))
+            except Exception as exc:  # reported by the main thread below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=fit_one, args=(seed,)) for seed in (19, 20)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30.0)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert blas_threads.inside == [[1] * len(prior)] * 2
+        assert blas_threads.counts() == prior
+        assert blas_threads.sets == [1] * len(prior) + prior
+
+    def test_many_threads_fitting_keep_pin_and_restore_paired(self, blas_threads):
+        prior = blas_threads.counts()
+        errors = []
+
+        def fit_many(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(10):
+                    fit(*random_instance(rng, 2, 30))
+            except Exception as exc:  # reported by the main thread below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=fit_many, args=(seed,)) for seed in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert blas_threads.inside == [[1] * len(prior)] * 40
+        assert blas_threads.counts() == prior
+        # Every pin to one thread is followed by exactly one restore.
+        block, sets = [1] * len(prior) + prior, blas_threads.sets
+        assert sets and len(sets) % len(block) == 0
+        assert all(sets[i : i + len(block)] == block for i in range(0, len(sets), len(block)))
+
+    def test_without_openblas_fit_touches_no_control(self, blas_threads, monkeypatch, caplog):
+        monkeypatch.setattr(rbfcors.rbf, "_find_openblas_controls", lambda: [])
+        monkeypatch.setattr(rbfcors.rbf._one_blas_thread, "controls", None)
+        prior = blas_threads.counts()
+        rng = np.random.default_rng(21)
+        points, values = random_instance(rng, 2, 15)
+        with caplog.at_level(logging.DEBUG, logger="rbfcors.rbf"):
+            fit(points, values)
+            model = fit(points, values)
+        np.testing.assert_allclose(model.evaluate_many(points), values, atol=1e-8)
+        assert blas_threads.inside == [prior, prior]
+        assert blas_threads.sets == []
+        assert blas_threads.counts() == prior
+        missing = [r for r in caplog.records if "no OpenBLAS" in r.getMessage()]
+        assert len(missing) == 1 and missing[0].levelno == logging.DEBUG
 
 
 class TestSpaceScaling:
