@@ -37,6 +37,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 import numpy as np
 
 from .benchmarks import BUILTIN_NAMES, NamedObjective, builtin
+from .cors import check_settings
 from .engine import DriverError, ObjectiveError, OptimizationConfig, RunError, run
 from .engine import log as engine_log
 from .lhs import diagonal_lh, improve_lh, spread
@@ -233,7 +234,7 @@ class CommandObjective:
         self._procs: list[subprocess.Popen] = []
         self._pool: queue.SimpleQueue = queue.SimpleQueue()
         try:
-            for _ in range(max(1, slots)):
+            for _ in range(slots):
                 proc = subprocess.Popen(
                     argv,
                     stdin=subprocess.PIPE,
@@ -287,6 +288,8 @@ def _check_writable(path: str) -> None:
     """Raise ConfigError naming path unless a file can be written there."""
     if os.path.isdir(path):
         raise ConfigError(f"cannot write {path}: it is a directory")
+    if not os.path.basename(path):
+        raise ConfigError(f"cannot write {path!r}: the path has no file name")
     if not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK | os.X_OK):
         raise ConfigError(f"cannot write {path}: its directory is missing or not writable")
 
@@ -356,6 +359,12 @@ def parse_history(path: str) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(points), np.asarray(raw)
 
 
+def _seeded_rng(args) -> np.random.Generator:
+    """Generator for a subcommand's --seed, checked like the config's seed."""
+    check_settings(args, ("seed", args.seed is None or args.seed >= 0, "non-negative"))
+    return np.random.default_rng(args.seed)
+
+
 def cmd_run(args) -> None:
     spec = load_run_config(args.config)
     overrides = {"seed": args.seed, "workers": args.workers}
@@ -391,9 +400,10 @@ def cmd_run(args) -> None:
 
 
 def cmd_lhs(args) -> None:
+    rng = _seeded_rng(args)
     base = diagonal_lh(args.n, args.d)
     initial_spread = spread(base.unit_points())
-    improved = improve_lh(base, args.attempts, np.random.default_rng(args.seed))
+    improved = improve_lh(base, args.attempts, rng)
     final_spread = spread(improved.unit_points())
     lines = [",".join(f"x_{i + 1}" for i in range(args.d))]
     for row in improved.unit_points():
@@ -403,6 +413,7 @@ def cmd_lhs(args) -> None:
 
 
 def cmd_surface(args) -> None:
+    rng = _seeded_rng(args)
     points, raw_values = parse_history(args.history)
     d = points.shape[1]
     if d != 2:
@@ -411,7 +422,7 @@ def cmd_surface(args) -> None:
         raise ConfigError(f"resolution must be at least 2, got {args.resolution}")
     model = fit(points, raw_values)
     if args.scaled:
-        scaling = compute_space_scaling(model, rng=np.random.default_rng(args.seed))
+        scaling = compute_space_scaling(model, rng=rng)
         model = refit_with_scaling(points, raw_values, scaling)
     axis = np.linspace(0.0, 1.0, args.resolution)
     first, second = np.meshgrid(axis, axis, indexing="ij")

@@ -65,14 +65,13 @@ class RadiusSchedule:
     dim: int
 
     def __post_init__(self):
-        if not 0.0 < self.initial_density <= 1.0:
-            raise ValueError(f"initial_density must be in (0, 1], got {self.initial_density}")
-        if self.decay_exponent <= 0.0:
-            raise ValueError(f"decay_exponent must be positive, got {self.decay_exponent}")
-        if self.total_iters < 1:
-            raise ValueError(f"total_iters must be at least 1, got {self.total_iters}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be at least 1, got {self.dim}")
+        check_settings(
+            self,
+            ("initial_density", 0.0 < self.initial_density <= 1.0, "in (0, 1]"),
+            ("decay_exponent", self.decay_exponent > 0.0, "positive"),
+            ("total_iters", self.total_iters >= 1, "at least 1"),
+            ("dim", self.dim >= 1, "at least 1"),
+        )
 
     def density(self, iteration: int) -> float:
         """Ball density at a 1-based iteration index; 0 at the last iteration."""
@@ -130,9 +129,7 @@ class Proposal:
 
 
 def _min_center_distance(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    if centers.size == 0:
-        return np.full(points.shape[0], math.inf)
-    return cdist(points, centers).min(axis=1)
+    return cdist(points, centers).min(axis=1, initial=math.inf)
 
 
 def _feasible(distances, radius: float):
@@ -225,10 +222,11 @@ def propose_point(
         x = cands[farthest]
         return Proposal(x=x, radius=radius, fallback=True, surrogate_value=model.evaluate(x))
 
-    values = model.evaluate_many(cands[feasible])
+    survivors = cands[feasible]
+    values = model.evaluate_many(survivors)
     best = int(np.argmin(values))
     x, fx = _pattern_search(
-        model, cands[feasible][best], float(values[best]), centers, radius, settings
+        model, survivors[best], float(values[best]), centers, radius, settings
     )
     return Proposal(x=x, radius=radius, fallback=False, surrogate_value=fx)
 

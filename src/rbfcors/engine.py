@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -90,6 +91,7 @@ class OptimizationConfig:
             ("best_fraction", 0.0 < self.best_fraction <= 0.5, "in (0, 0.5]"),
             ("workers", self.workers >= 1, "at least 1"),
             ("batch_size", self.batch_size is None or self.batch_size >= 1, "at least 1"),
+            ("seed", self.seed is None or self.seed >= 0, "non-negative"),
         )
 
     def validate(self, dim: int) -> None:
@@ -139,49 +141,45 @@ class OptimizationResult:
 def evaluate_batch(objective, points, workers: int) -> list[float]:
     """Evaluate the objective at each point, up to `workers` calls at a time.
 
-    Results come back in input order regardless of completion order.  Points
-    are fed to the pool lazily, so on the first failure nothing beyond the
-    calls already in flight runs; in-flight calls are allowed to finish and
-    their results are reported alongside the failure.
+    Results come back in input order.  The first call that raises or returns
+    a non-finite value, or any exception reaching the caller while it waits,
+    stops every call not yet started; calls already running finish, and their
+    results are reported alongside the failure.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    points = list(points)
-    if not points:
-        return []
-    completed: dict[int, float] = {}
-    failures: dict[int, BaseException] = {}
+    stop = threading.Event()
+
+    def call(point) -> float | None:
+        if stop.is_set():
+            return None
+        try:
+            value = float(objective(point))
+            if not math.isfinite(value):
+                raise ValueError(f"objective returned non-finite value {value!r} at {point}")
+            return value
+        except BaseException:
+            stop.set()
+            raise
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        in_flight: dict = {}
-        next_index = 0
-        while in_flight or (next_index < len(points) and not failures):
-            while (
-                not failures and next_index < len(points) and len(in_flight) < workers
-            ):
-                future = pool.submit(_call_scalar, objective, points[next_index])
-                in_flight[future] = next_index
-                next_index += 1
-            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = in_flight.pop(future)
-                error = future.exception()
-                if error is None:
-                    completed[index] = future.result()
-                else:
-                    failures[index] = error
-    if failures:
-        index = min(failures)
-        raise BatchEvaluationError(
-            f"objective failed at point {index}: {failures[index]}", completed
-        )
-    return [completed[i] for i in range(len(points))]
-
-
-def _call_scalar(objective, point) -> float:
-    value = float(objective(point))
-    if not math.isfinite(value):
-        raise ValueError(f"objective returned non-finite value {value!r} at {point}")
-    return value
+        try:
+            futures = [pool.submit(call, point) for point in points]
+            wait(futures)
+        except BaseException:
+            stop.set()
+            raise
+    errors = {i: f.exception() for i, f in enumerate(futures) if f.exception() is not None}
+    if errors:
+        index = min(errors)
+        completed = {
+            i: f.result()
+            for i, f in enumerate(futures)
+            if i not in errors and f.result() is not None
+        }
+        message = f"objective failed at point {index}: {errors[index]}"
+        raise BatchEvaluationError(message, completed)
+    return [f.result() for f in futures]
 
 
 def best_so_far(history: list[EvaluationRecord]) -> EvaluationRecord:
@@ -278,8 +276,7 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
             dim=domain.dim,
         )
         batch = config.effective_batch()
-        iteration = 1
-        while iteration <= config.n_iter:
+        for iteration in range(1, config.n_iter + 1, batch):
             k = min(batch, config.n_iter - iteration + 1)
             centers = np.array([rec.x_unit for rec in history])
             scaled_values = np.array([rec.f_scaled for rec in history])
@@ -313,7 +310,6 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
             log.info(
                 "iter=%d rho=%.6f r=%.6f best=%.6g", last, rho, proposals[-1].radius, best
             )
-            iteration += k
 
     best = best_so_far(history)
     return OptimizationResult(

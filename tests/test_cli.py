@@ -140,6 +140,7 @@ class TestRunCommand:
             ({"proposal": {"pattern_steps": -1}}, "pattern_steps"),
             ({"proposal": {"initial_step": 0}}, "initial_step"),
             ({"proposal": {"min_step": 0.5}}, "min_step"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_invalid_setting_rejected_with_line_number(
@@ -164,6 +165,67 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         assert not out.exists()
         assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, dropped, message, key",
+        [
+            ({"lower": [0.0, 0.0]}, None, "lower and upper must be given together", "lower"),
+            (
+                {"lower": [0.0, 0.0, 0.0], "upper": [1.0, 1.0, 1.0]},
+                None,
+                "objective 'valley' is 2-dimensional, bounds have 3 entries",
+                "lower",
+            ),
+            (
+                {"lower": [0.0, 0.5], "upper": [1.0, 0.5]},
+                None,
+                "upper bound must exceed lower bound for every variable; "
+                "variable 1 has range [0.5, 0.5]",
+                "lower",
+            ),
+            (
+                {"objective": [sys.executable, 3], "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+                None,
+                "external objective must be a non-empty array of strings",
+                "objective",
+            ),
+            ({}, "objective", "missing required key 'objective'", None),
+            ({}, "n_init", "missing required key 'n_init'", None),
+        ],
+    )
+    def test_config_error_exits_two_with_message(
+        self, tmp_path, capsys, overrides, dropped, message, key
+    ):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        if dropped is not None:
+            doc = json.loads(cfg.read_text())
+            del doc[dropped]
+            cfg.write_text(json.dumps(doc, indent=1))
+        out = tmp_path / "hist.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        if key is not None:
+            line = next(
+                i
+                for i, text in enumerate(cfg.read_text().splitlines(), start=1)
+                if f'"{key}"' in text
+            )
+            message = f"line {line}: {message}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_top_level_array_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('["valley"]')
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
+    def test_seed_override_checked_like_file_value(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "hist.csv"
+        code = main(["run", "--config", str(cfg), "--seed", "-1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
 
     def test_too_small_design_rejected_naming_invariant(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", n_init=3)
@@ -221,6 +283,23 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert f"cannot write {out}: it is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["newdir/", ""])
+    def test_output_without_file_name_rejected_before_any_evaluation(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(rbfcors.cli, "run", no_run)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["run", "--config", str(cfg), "--out", name]) == EXIT_CONFIG
+        assert f"cannot write {name!r}: the path has no file name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "work"]
+        assert list(work.iterdir()) == []
 
     def test_narrowed_bounds_accepted(self, tmp_path):
         cfg = write_config(
@@ -381,6 +460,24 @@ class TestLhsCommand:
         assert list(tmp_path.iterdir()) == []  # no temporary file left behind
 
 
+    @pytest.mark.parametrize("name", ["newdir2/", ""])
+    def test_output_without_file_name_exits_two(self, tmp_path, capsys, monkeypatch, name):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["lhs", "--n", "5", "--d", "2", "--out", name]) == EXIT_CONFIG
+        assert f"cannot write {name!r}: the path has no file name" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["work"]
+        assert list(work.iterdir()) == []
+
+    def test_negative_seed_exits_two_naming_seed(self, tmp_path, capsys):
+        out = tmp_path / "design.csv"
+        code = main(["lhs", "--n", "5", "--d", "2", "--seed", "-1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
+
 class TestSurfaceCommand:
     def run_history(self, tmp_path, **overrides):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
@@ -478,6 +575,61 @@ class TestSurfaceCommand:
         assert main(["surface", "--history", str(history), "--out",
                      str(tmp_path / "s.csv")]) == EXIT_CONFIG
         assert "2-dimensional" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "history file is empty"),
+            (
+                "stage,index,x_1,x_2,f_raw,f_scaled,radius,fallback\n"
+                "initial,0,0.1,0.2,1.0,1.0,,0\n"
+                "initial,1,0.9,0.8,2.0\n",
+                "history line 3: expected 8 fields",
+            ),
+            (
+                "stage,index,x_1,x_2,f_raw,f_scaled,radius,fallback\n"
+                "initial,0,0.1,zero,1.0,1.0,,0\n",
+                "history line 2: malformed number",
+            ),
+        ],
+    )
+    def test_rejects_unreadable_history(self, tmp_path, capsys, text, message):
+        history = tmp_path / "hist.csv"
+        history.write_text(text)
+        out = tmp_path / "s.csv"
+        assert main(["surface", "--history", str(history), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_rejects_missing_history_file(self, tmp_path, capsys):
+        history = tmp_path / "missing.csv"
+        out = tmp_path / "s.csv"
+        assert main(["surface", "--history", str(history), "--out", str(out)]) == EXIT_CONFIG
+        message = capsys.readouterr().err
+        assert message.startswith("error: cannot read history file:") and str(history) in message
+        assert not out.exists()
+
+    def test_rejects_single_node_resolution(self, tmp_path, capsys):
+        history = self.run_history(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "s.csv"
+        code = main(
+            ["surface", "--history", str(history), "--resolution", "1", "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: resolution must be at least 2, got 1\n"
+        assert not out.exists()
+
+    def test_negative_seed_exits_two_naming_seed(self, tmp_path, capsys):
+        history = self.run_history(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "s.csv"
+        code = main(
+            ["surface", "--history", str(history), "--scaled", "--seed", "-1", "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
 
     def test_rejects_malformed_header(self, tmp_path, capsys):
         history = tmp_path / "hist.csv"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import signal
 import threading
 import time
 
@@ -78,6 +80,40 @@ class TestEvaluateBatch:
         completed = excinfo.value.completed
         assert completed == {0: 0.0, 1: 1.0}
         assert "boom" in str(excinfo.value)
+
+    def test_failure_starts_no_further_call(self):
+        started = []
+
+        def fail_at_one(x):
+            started.append(int(x[0]))
+            if x[0] == 1.0:
+                raise RuntimeError("boom")
+            time.sleep(0.05)
+            return 0.0
+
+        points = [np.array([float(i)]) for i in range(6)]
+        with pytest.raises(BatchEvaluationError) as excinfo:
+            evaluate_batch(fail_at_one, points, workers=2)
+        assert sorted(started) == [0, 1]
+        assert excinfo.value.completed == {0: 0.0}
+
+    def test_interrupt_starts_no_further_call(self):
+        started = []
+
+        def interrupt_once(x):
+            started.append(int(x[0]))
+            if x[0] == 0.0:
+                # The pause lets the caller finish submitting and start
+                # waiting, so the signal lands in the wait.
+                time.sleep(0.1)
+                os.kill(os.getpid(), signal.SIGINT)
+            time.sleep(0.1)
+            return 0.0
+
+        points = [np.array([float(i)]) for i in range(4)]
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_batch(interrupt_once, points, workers=1)
+        assert started == [0]
 
     def test_non_finite_value_is_an_error(self):
         with pytest.raises(BatchEvaluationError):
