@@ -41,6 +41,9 @@ MIN_CENTER_SEPARATION = 1e-10
 _CONDITION_LIMIT = 1e12
 _DIAGONAL_NUDGE = 1e-10
 _EIGENVALUE_FLOOR_RATIO = 1e-8
+# Rows of the distance matrix that evaluate_many fills and cubes at a time:
+# at 300 centers a block and its one temporary take 1.2 MB, within a 2 MB L2.
+_ROW_BLOCK = 256
 # OpenBLAS's C thread-count calls, int get(void) and void set(int), under the
 # names each build exports: numpy's wheel bundles an OpenBLAS with the 64_
 # suffix, scipy's one without, and distro builds keep the plain names.
@@ -68,6 +71,10 @@ class RbfModel:
 
     The scaled centers (centers @ T.T) are computed once on construction,
     which is why the model is frozen.
+
+    The kernel r^3 is computed as r * (r * r), in fit and in evaluation
+    alike.  It differs from r ** 3 (libm pow) in the last bit for about a
+    quarter of the terms and costs a fraction of it.
     """
 
     centers: np.ndarray
@@ -85,12 +92,22 @@ class RbfModel:
         return self.centers.shape[1]
 
     def evaluate_many(self, points) -> np.ndarray:
-        """Evaluate the surface at each row of an (m, d) array."""
+        """Evaluate the surface at each row of an (m, d) array.
+
+        The (m, n) kernel matrix is allocated once and filled _ROW_BLOCK rows
+        at a time: each block of distances is cubed in place by
+        multiplication while it is still in cache, so the only temporary is
+        one block.  One matrix-vector product over the whole matrix then
+        reduces it, which leaves that product to threaded BLAS.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"expected points of dimension {self.dim}, got {pts.shape[1]}")
-        dists = cdist(pts @ self.scaling.T, self._scaled_centers)
-        np.power(dists, 3, out=dists)
+        scaled = pts @ self.scaling.T
+        dists = np.empty((pts.shape[0], self._scaled_centers.shape[0]))
+        for start in range(0, pts.shape[0], _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            _cube_in_place(cdist(scaled[rows], self._scaled_centers, out=dists[rows]))
         return dists @ self.weights + pts @ self.tail_linear + self.tail_const
 
     def evaluate(self, x) -> float:
@@ -115,6 +132,14 @@ class SpaceScaling:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     degenerate: bool = False
+
+
+def _cube_in_place(dists: np.ndarray) -> np.ndarray:
+    """The cubic kernel r * (r * r) of a distance array, written over it and
+    returned; the one temporary is the size of dists.  libm pow, behind
+    r ** 3, costs several times more."""
+    dists *= dists * dists
+    return dists
 
 
 def fit(points, values, scaling: np.ndarray | None = None) -> RbfModel:
@@ -160,7 +185,7 @@ def fit(points, values, scaling: np.ndarray | None = None) -> RbfModel:
             raise ValueError(f"{name} must be finite, got NaN or infinity")
 
     scaled = pts @ T.T
-    kernel = cdist(scaled, scaled) ** 3
+    kernel = _cube_in_place(cdist(scaled, scaled))
     tail = np.hstack([pts, np.ones((n, 1))])
 
     system = np.zeros((n + d + 1, n + d + 1))

@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,18 +436,61 @@ class TestRbfModel:
 
     @pytest.mark.parametrize("scaled", [False, True])
     def test_evaluate_many_matches_direct_formula_bitwise(self, scaled):
+        # The row counts sit on and around the block edges of evaluate_many.
+        assert rbfcors.rbf._ROW_BLOCK == 256
         rng = np.random.default_rng(16)
         points, values = random_instance(rng, 3, 20)
         scaling = rng.normal(size=(3, 3)) if scaled else None
         model = fit(points, values, scaling)
         T = model.scaling
-        fresh = rng.random((200, 3))
-        expected = (
-            cdist(fresh @ T.T, points @ T.T) ** 3 @ model.weights
-            + fresh @ model.tail_linear
-            + model.tail_const
+        for rows in (0, 1, 255, 256, 257, 600):
+            fresh = rng.random((rows, 3))
+            D = cdist(fresh @ T.T, points @ T.T)
+            expected = (D * D * D) @ model.weights + fresh @ model.tail_linear + model.tail_const
+            np.testing.assert_array_equal(model.evaluate_many(fresh), expected)
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_evaluate_many_within_a_few_ulps_of_extended_precision(self, scaled):
+        rng = np.random.default_rng(17)
+        points, values = random_instance(rng, 3, 40)
+        scaling = rng.normal(size=(3, 3)) if scaled else None
+        model = fit(points, values, scaling)
+        fresh = rng.random((600, 3))
+        # Extended-precision reference from the same double scaled
+        # coordinates, weights and tail.
+        T = model.scaling
+        diff = (fresh @ T.T)[:, None, :].astype(np.longdouble) - (
+            (points @ T.T)[None, :, :].astype(np.longdouble)
         )
-        np.testing.assert_array_equal(model.evaluate_many(fresh), expected)
+        cubes = np.sqrt((diff * diff).sum(axis=2)) ** 3
+        weights = model.weights.astype(np.longdouble)
+        tail = fresh.astype(np.longdouble) @ model.tail_linear.astype(np.longdouble)
+        reference = cubes @ weights + tail + np.longdouble(model.tail_const)
+        magnitude = cubes @ np.abs(weights) + np.abs(fresh) @ np.abs(model.tail_linear)
+        magnitude += abs(model.tail_const)
+        error = np.abs(model.evaluate_many(fresh).astype(np.longdouble) - reference)
+        assert np.all(error <= 8 * np.finfo(float).eps * magnitude)
+
+    def test_evaluate_many_holds_one_kernel_matrix(self):
+        # A 10000-point cloud against 300 centers: the kernel matrix is the
+        # only full-size allocation; a cube taken as D * D * D would add a
+        # second one.
+        rng = np.random.default_rng(18)
+        n_centers, cloud = 300, rng.random((10000, 2))
+        model = RbfModel(
+            centers=rng.random((n_centers, 2)),
+            weights=rng.normal(size=n_centers),
+            tail_linear=rng.normal(size=2),
+            tail_const=0.5,
+            scaling=np.eye(2),
+        )
+        tracemalloc.start()
+        try:
+            model.evaluate_many(cloud)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * cloud.shape[0] * n_centers * 8
 
     def test_model_is_cubic_in_distance(self):
         # One center with zero tail: value grows as distance cubed.
