@@ -138,21 +138,40 @@ def _feasible(distances, radius: float):
     return distances >= max(radius, MIN_CENTER_SEPARATION)
 
 
-def _candidate_set(
-    dim: int,
-    radius: float,
-    rng: np.random.Generator,
-    settings: ProposalSettings,
-    best_point: np.ndarray | None,
-) -> np.ndarray:
-    """Uniform candidates plus Gaussian perturbations of the incumbent,
-    clipped into the closed unit cube."""
-    cands = rng.random((settings.uniform_per_dim * dim, dim))
-    if best_point is not None and settings.local_candidates > 0:
-        sigma = max(radius, 0.05)
-        local = best_point + rng.normal(0.0, sigma, (settings.local_candidates, dim))
-        cands = np.vstack([cands, np.clip(local, 0.0, 1.0)])
-    return cands
+@dataclass(frozen=True)
+class CandidateDraw:
+    """One proposal's random candidates, drawn before its model is fitted.
+
+    uniform holds the uniform candidates, and nearest each one's distance
+    to the nearest of centers.  offsets holds the Gaussian steps, with
+    sigma = max(radius, 0.05), that propose_point adds to the incumbent; it
+    is None when local is false or settings ask for no local candidates.
+    None of this depends on objective values, so the optimizer draws it
+    while the batch before the fit is still being evaluated.
+    """
+
+    centers: np.ndarray
+    radius: float
+    settings: ProposalSettings
+    local: bool
+    uniform: np.ndarray
+    offsets: np.ndarray | None
+    nearest: np.ndarray
+
+
+def draw_candidates(
+    centers, radius: float, rng: np.random.Generator, settings: ProposalSettings, local: bool
+) -> CandidateDraw:
+    """Draw one proposal's candidates: the uniform block, then the Gaussian
+    block, and measure the uniform ones against the (n, d) centers."""
+    centers = np.asarray(centers, dtype=float)
+    dim = centers.shape[1]
+    uniform = rng.random((settings.uniform_per_dim * dim, dim))
+    offsets = None
+    if local and settings.local_candidates > 0:
+        offsets = rng.normal(0.0, max(radius, 0.05), (settings.local_candidates, dim))
+    nearest = _min_center_distance(uniform, centers)
+    return CandidateDraw(centers, radius, settings, local, uniform, offsets, nearest)
 
 
 def _pattern_search(
@@ -195,15 +214,24 @@ def propose_point(
     rng: np.random.Generator,
     settings: ProposalSettings | None = None,
     best_point=None,
+    *,
+    draw: CandidateDraw | None = None,
 ) -> Proposal:
     """Pick the next sample: minimize the surface at least `radius` away from
     every center.
 
-    Candidates violating the distance constraint are dropped; the best
-    survivor is refined by pattern search.  If no candidate is feasible
-    (radius too large for the remaining free space), the candidate farthest
-    from the centers is returned instead and the fallback flag is set, which
-    keeps the evaluation budget moving.
+    The candidates are uniform points plus Gaussian perturbations of
+    best_point, if given, clipped into the closed unit cube.  Candidates
+    violating the distance constraint are dropped; the best survivor is
+    refined by pattern search.  If no candidate is feasible (radius too
+    large for the remaining free space), the candidate farthest from the
+    centers is returned instead and the fallback flag is set, which keeps
+    the evaluation budget moving.
+
+    draw, if given, is the draw_candidates result for this radius and these
+    settings, drawn from rng beforehand against the leading rows of
+    centers; rng is then not used.  The uniform candidates are measured
+    only against the rows that came after.
     """
     if radius < 0.0:
         raise ValueError(f"radius must be non-negative, got {radius}")
@@ -212,9 +240,25 @@ def propose_point(
     centers = np.asarray(centers, dtype=float).reshape(-1, model.dim)
     if best_point is not None:
         best_point = np.asarray(best_point, dtype=float)
+    if draw is None:
+        draw = draw_candidates(centers, radius, rng, settings, best_point is not None)
+    elif not (
+        draw.radius == radius
+        and draw.settings == settings
+        and draw.local == (best_point is not None)
+        and np.array_equal(centers[: len(draw.centers)], draw.centers)
+    ):
+        raise ValueError(
+            "candidate draw does not match this proposal's centers, radius and settings"
+        )
 
-    cands = _candidate_set(model.dim, radius, rng, settings, best_point)
-    dmin = _min_center_distance(cands, centers)
+    cands, dmin = draw.uniform, draw.nearest
+    if len(draw.centers) < len(centers):
+        dmin = np.minimum(dmin, _min_center_distance(cands, centers[len(draw.centers) :]))
+    if draw.offsets is not None:
+        local = np.clip(best_point + draw.offsets, 0.0, 1.0)
+        cands = np.vstack([cands, local])
+        dmin = np.concatenate([dmin, _min_center_distance(local, centers)])
     feasible = _feasible(dmin, radius)
 
     if not feasible.any():
@@ -240,6 +284,8 @@ def propose_batch(
     rng: np.random.Generator,
     settings: ProposalSettings | None = None,
     best_point=None,
+    *,
+    draws: list[CandidateDraw] | None = None,
 ) -> list[Proposal]:
     """Propose `batch` points from one fitted model, consuming consecutive
     iteration indices of the schedule.
@@ -247,9 +293,14 @@ def propose_batch(
     Each pending proposal immediately joins the constraint centers and the
     center count used for the next radius, so points within one batch keep
     their mutual distance even though none has been evaluated yet.
+
+    draws, if given, holds each proposal's draw_candidates result, drawn
+    from rng beforehand against centers (see propose_point).
     """
     if batch < 1:
         raise ValueError(f"batch must be at least 1, got {batch}")
+    if draws is not None and len(draws) != batch:
+        raise ValueError(f"expected {batch} candidate draws, got {len(draws)}")
     if start_iter + batch - 1 > schedule.total_iters:
         raise ValueError(
             f"batch of {batch} starting at iteration {start_iter} exceeds "
@@ -259,7 +310,8 @@ def propose_batch(
     proposals: list[Proposal] = []
     for j in range(batch):
         radius = schedule.radius(start_iter + j, working.shape[0])
-        prop = propose_point(model, working, radius, rng, settings, best_point)
+        draw = None if draws is None else draws[j]
+        prop = propose_point(model, working, radius, rng, settings, best_point, draw=draw)
         proposals.append(prop)
         working = np.vstack([working, prop.x[None, :]])
     return proposals

@@ -4,7 +4,9 @@ The run alternates between fitting the response surface to everything
 evaluated so far and proposing a batch of new points under the shrinking
 exclusion-radius schedule.  Batches are evaluated concurrently; all random
 draws happen serially in the driver, so results depend only on the seed and
-the batch size, not on worker count or completion order.
+the batch size, not on worker count or completion order.  While a batch
+evaluates, the driver already draws what the next iteration needs from the
+random stream and computes the distances that need no objective value.
 """
 
 from __future__ import annotations
@@ -17,9 +19,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cors import Proposal, ProposalSettings, RadiusSchedule, check_settings, propose_batch
+from .cors import (
+    CandidateDraw,
+    Proposal,
+    ProposalSettings,
+    RadiusSchedule,
+    check_settings,
+    draw_candidates,
+    propose_batch,
+)
 from .lhs import diagonal_lh, improve_lh
-from .rbf import RbfModel, compute_space_scaling, fit, refit_with_scaling
+from .rbf import ScalingCloud, compute_space_scaling, fit, refit_with_scaling, scaling_cloud
 from .scaling import BoundedDomain, ObjectiveRescaler, fit_rescaler, maximization_wrapper
 
 log = logging.getLogger(__name__)
@@ -138,21 +148,36 @@ class OptimizationResult:
     rescaler: ObjectiveRescaler
 
 
-def evaluate_batch(objective, points, workers: int) -> list[float]:
+def evaluate_batch(objective, points, workers: int, meanwhile=None) -> list[float]:
     """Evaluate the objective at each point, up to `workers` calls at a time.
 
     Results come back in input order.  The first call that raises or returns
     a non-finite value, or any exception reaching the caller while it waits,
     stops every call not yet started; calls already running finish, and their
     results are reported alongside the failure.
+
+    meanwhile, if given, is called with no arguments on the calling thread
+    once the first min(workers, len(points)) calls have entered the
+    objective, so it delays no call's start, and the batch is waited for
+    after it returns.  It is skipped if a call has failed by then.  An
+    exception it raises, Ctrl-C included, counts as one reaching the caller
+    while it waits.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     stop = threading.Event()
+    started = threading.Event()
+    pending_starts = min(workers, len(points))
+    lock = threading.Lock()
 
     def call(point) -> float | None:
+        nonlocal pending_starts
         if stop.is_set():
             return None
+        with lock:
+            pending_starts -= 1
+            if pending_starts == 0:
+                started.set()
         try:
             value = float(objective(point))
             if not math.isfinite(value):
@@ -160,11 +185,16 @@ def evaluate_batch(objective, points, workers: int) -> list[float]:
             return value
         except BaseException:
             stop.set()
+            started.set()
             raise
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         try:
             futures = [pool.submit(call, point) for point in points]
+            if meanwhile is not None and futures:
+                started.wait()
+                if not stop.is_set():
+                    meanwhile()
             wait(futures)
         except BaseException:
             stop.set()
@@ -194,6 +224,48 @@ def best_so_far(history: list[EvaluationRecord]) -> EvaluationRecord:
     return min(history, key=lambda rec: (rec.f_raw, -rec.value, rec.index))
 
 
+class _Lookahead:
+    """The next iteration's position-only work, done while a batch evaluates.
+
+    The next iteration's centers are the points evaluated so far plus the
+    batch in flight, whose positions are known before its values.  Its
+    random draws come in a fixed order, the rescaling cloud and then each
+    proposal's candidates, and nothing else draws in between.  So the cloud
+    with its kernel matrix, and each proposal's candidates with their
+    distances to those centers, can be drawn while the objective runs, with
+    the same results as drawn after it.  A failure is kept in error, to be
+    raised once the batch is recorded.
+    """
+
+    def __init__(self, rng, config, schedule, centers: np.ndarray, iteration: int):
+        self._work = (rng, config, schedule, centers, iteration)
+        self.cloud: ScalingCloud | None = None
+        self.draws: list[CandidateDraw] | None = None
+        self.error: Exception | None = None
+
+    def __call__(self) -> None:
+        try:
+            self.cloud, self.draws = _look_ahead(*self._work)
+        except Exception as exc:
+            self.error = exc
+
+
+def _look_ahead(rng, config: OptimizationConfig, schedule: RadiusSchedule, centers, iteration: int):
+    """(cloud, draws) of the batch starting at iteration, for these centers."""
+    dim = centers.shape[1]
+    points = rng.random((config.cloud_size, dim)) if config.use_space_rescaling else None
+    k = min(config.effective_batch(), config.n_iter - iteration + 1)
+    draws = []
+    for j in range(k):
+        radius = schedule.radius(iteration + j, len(centers) + j)
+        draws.append(draw_candidates(centers, radius, rng, config.proposal, local=True))
+    if points is None:
+        return None, draws
+    # The cloud is ranked by the plain fit, whose scaling is the identity.  Its
+    # kernel is built last, so it is never held beside a candidate scan.
+    return scaling_cloud(points, centers, np.eye(dim)), draws
+
+
 def _evaluate_into(
     history: list[EvaluationRecord],
     objective,
@@ -202,18 +274,20 @@ def _evaluate_into(
     units,
     proposals: list[Proposal] | None = None,
     rescaler: ObjectiveRescaler | None = None,
+    meanwhile=None,
 ) -> None:
     """Evaluate unit points as one batch and append a record per value.
 
     Without proposals the points are the initial design, recorded unscaled
-    and without a radius.  On failure, every call in the batch that returned
-    a valid non-negative value is recorded at its true index before
-    ObjectiveError carries the history out.
+    and without a radius.  meanwhile is handed to evaluate_batch.  On
+    failure, every call in the batch that returned a valid non-negative
+    value is recorded at its true index before ObjectiveError carries the
+    history out.
     """
     originals = [domain.from_unit(x) for x in units]
     failure: BatchEvaluationError | None = None
     try:
-        values = dict(enumerate(evaluate_batch(objective, originals, config.workers)))
+        values = dict(enumerate(evaluate_batch(objective, originals, config.workers, meanwhile)))
     except BatchEvaluationError as err:
         failure, values = err, err.completed
     minimized = maximization_wrapper(float) if config.maximize else float
@@ -260,14 +334,8 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
     rng = np.random.default_rng(config.seed)
 
     lh = improve_lh(diagonal_lh(config.n_init, domain.dim), config.lh_attempts, rng)
-    history: list[EvaluationRecord] = []
-    _evaluate_into(history, objective, domain, config, lh.unit_points())
-
-    rescaler = fit_rescaler(np.array([rec.f_raw for rec in history]), config.keep_fraction)
-    history = [
-        replace(rec, f_scaled=rescaler.rescale(rec.f_raw)) for rec in history
-    ]
-
+    units = lh.unit_points()
+    schedule = ahead = None
     if config.n_iter > 0:
         schedule = RadiusSchedule(
             initial_density=config.initial_density,
@@ -275,41 +343,56 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
             total_iters=config.n_iter,
             dim=domain.dim,
         )
-        batch = config.effective_batch()
-        for iteration in range(1, config.n_iter + 1, batch):
-            k = min(batch, config.n_iter - iteration + 1)
-            centers = np.array([rec.x_unit for rec in history])
-            scaled_values = np.array([rec.f_scaled for rec in history])
-            try:
-                model = fit(centers, scaled_values)
-                if config.use_space_rescaling:
-                    scaling = compute_space_scaling(
-                        model, config.cloud_size, config.best_fraction, rng
-                    )
-                    model = refit_with_scaling(centers, scaled_values, scaling)
-                incumbent = best_so_far(history)
-                proposals = propose_batch(
-                    model,
-                    centers,
-                    schedule,
-                    iteration,
-                    k,
-                    rng,
-                    config.proposal,
-                    incumbent.x_unit,
+        ahead = _Lookahead(rng, config, schedule, units, 1)
+    history: list[EvaluationRecord] = []
+    _evaluate_into(history, objective, domain, config, units, meanwhile=ahead)
+
+    rescaler = fit_rescaler(np.array([rec.f_raw for rec in history]), config.keep_fraction)
+    history = [
+        replace(rec, f_scaled=rescaler.rescale(rec.f_raw)) for rec in history
+    ]
+
+    batch = config.effective_batch()
+    for iteration in range(1, config.n_iter + 1, batch):
+        k = min(batch, config.n_iter - iteration + 1)
+        centers = np.array([rec.x_unit for rec in history])
+        scaled_values = np.array([rec.f_scaled for rec in history])
+        try:
+            if ahead.error is not None:
+                raise ahead.error
+            model = fit(centers, scaled_values)
+            if config.use_space_rescaling:
+                scaling = compute_space_scaling(
+                    model, config.cloud_size, config.best_fraction, rng, cloud=ahead.cloud
                 )
-            except Exception as exc:
-                # Any failure here is the driver's; the history is still worth keeping.
-                raise DriverError(
-                    f"driver failed at iteration {iteration}: {exc}", history
-                ) from exc
-            units = [p.x for p in proposals]
-            _evaluate_into(history, objective, domain, config, units, proposals, rescaler)
-            last = iteration + k - 1
-            rho, best = schedule.density(last), best_so_far(history).f_raw
-            log.info(
-                "iter=%d rho=%.6f r=%.6f best=%.6g", last, rho, proposals[-1].radius, best
+                model = refit_with_scaling(centers, scaled_values, scaling)
+            incumbent = best_so_far(history)
+            proposals = propose_batch(
+                model,
+                centers,
+                schedule,
+                iteration,
+                k,
+                rng,
+                config.proposal,
+                incumbent.x_unit,
+                draws=ahead.draws,
             )
+        except Exception as exc:
+            # Any failure here is the driver's; the history is still worth keeping.
+            raise DriverError(
+                f"driver failed at iteration {iteration}: {exc}", history
+            ) from exc
+        units = [p.x for p in proposals]
+        ahead = None
+        if iteration + k <= config.n_iter:
+            ahead = _Lookahead(rng, config, schedule, np.vstack([centers, units]), iteration + k)
+        _evaluate_into(history, objective, domain, config, units, proposals, rescaler, ahead)
+        last = iteration + k - 1
+        rho, best = schedule.density(last), best_so_far(history).f_raw
+        log.info(
+            "iter=%d rho=%.6f r=%.6f best=%.6g", last, rho, proposals[-1].radius, best
+        )
 
     best = best_so_far(history)
     return OptimizationResult(

@@ -41,7 +41,7 @@ MIN_CENTER_SEPARATION = 1e-10
 _CONDITION_LIMIT = 1e12
 _DIAGONAL_NUDGE = 1e-10
 _EIGENVALUE_FLOOR_RATIO = 1e-8
-# Rows of the distance matrix that evaluate_many fills and cubes at a time:
+# Rows of the distance matrix that cubic_kernel fills and cubes at a time:
 # at 300 centers a block and its one temporary take 1.2 MB, within a 2 MB L2.
 _ROW_BLOCK = 256
 # OpenBLAS's C thread-count calls, int get(void) and void set(int), under the
@@ -91,24 +91,21 @@ class RbfModel:
     def dim(self) -> int:
         return self.centers.shape[1]
 
-    def evaluate_many(self, points) -> np.ndarray:
+    def evaluate_many(self, points, kernel: np.ndarray | None = None) -> np.ndarray:
         """Evaluate the surface at each row of an (m, d) array.
 
-        The (m, n) kernel matrix is allocated once and filled _ROW_BLOCK rows
-        at a time: each block of distances is cubed in place by
-        multiplication while it is still in cache, so the only temporary is
-        one block.  One matrix-vector product over the whole matrix then
-        reduces it, which leaves that product to threaded BLAS.
+        The (m, n) kernel matrix comes from cubic_kernel, unless the caller
+        computed it beforehand for these points, this model's centers and
+        its scaling and passes it as kernel.  One matrix-vector product over
+        the whole matrix then reduces it, which leaves that product to
+        threaded BLAS.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"expected points of dimension {self.dim}, got {pts.shape[1]}")
-        scaled = pts @ self.scaling.T
-        dists = np.empty((pts.shape[0], self._scaled_centers.shape[0]))
-        for start in range(0, pts.shape[0], _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            _cube_in_place(cdist(scaled[rows], self._scaled_centers, out=dists[rows]))
-        return dists @ self.weights + pts @ self.tail_linear + self.tail_const
+        if kernel is None:
+            kernel = cubic_kernel(pts @ self.scaling.T, self._scaled_centers)
+        return kernel @ self.weights + pts @ self.tail_linear + self.tail_const
 
     def evaluate(self, x) -> float:
         """Evaluate the surface at a single point."""
@@ -132,6 +129,47 @@ class SpaceScaling:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     degenerate: bool = False
+
+
+@dataclass
+class ScalingCloud:
+    """The uniform cloud that compute_space_scaling ranks, with its cubic
+    kernel matrix against the centers under the scaling of the model that
+    will rank it.
+
+    Neither depends on objective values, so the optimizer draws the cloud
+    while the batch before the fit is still being evaluated.  Ranking the
+    cloud sets kernel to None: at 256 centers the matrix takes 20 MB.
+    """
+
+    points: np.ndarray
+    centers: np.ndarray
+    scaling: np.ndarray
+    kernel: np.ndarray | None
+
+
+def scaling_cloud(points: np.ndarray, centers, scaling) -> ScalingCloud:
+    """The cloud of uniform points, drawn as rng.random((cloud_size, d)),
+    with its kernel matrix against the (n, d) centers, distances measured
+    through scaling."""
+    centers = np.asarray(centers, dtype=float)
+    scaling = np.asarray(scaling, dtype=float)
+    kernel = cubic_kernel(points @ scaling.T, centers @ scaling.T)
+    return ScalingCloud(points=points, centers=centers, scaling=scaling, kernel=kernel)
+
+
+def cubic_kernel(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The (m, n) matrix of cubed distances between the rows of two arrays.
+
+    The matrix is allocated once and filled _ROW_BLOCK rows at a time: each
+    block of distances is cubed in place by multiplication while it is
+    still in cache, so the only temporary is one block.
+    """
+    kernel = np.empty((points.shape[0], centers.shape[0]))
+    for start in range(0, points.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        _cube_in_place(cdist(points[rows], centers, out=kernel[rows]))
+    return kernel
 
 
 def _cube_in_place(dists: np.ndarray) -> np.ndarray:
@@ -359,6 +397,8 @@ def compute_space_scaling(
     cloud_size: int = 10000,
     best_fraction: float = 0.05,
     rng: np.random.Generator | None = None,
+    *,
+    cloud: ScalingCloud | None = None,
 ) -> SpaceScaling:
     """Derive the scaling matrix T from the low-value cloud of the model.
 
@@ -366,19 +406,32 @@ def compute_space_scaling(
     with the lowest surface values, and builds T from the eigensystem of the
     kept cloud's covariance (unbiased normalization).  A cloud that collapses
     to a single point yields the identity matrix with the degenerate flag set.
+
+    cloud, if given, is the scaling_cloud of points drawn from rng
+    beforehand, for this model's centers and scaling; rng is then not used.
+    Its kernel is released once the cloud is ranked, so a cloud serves one
+    scaling.
     """
     if cloud_size < 100:
         raise ValueError(f"cloud_size must be at least 100, got {cloud_size}")
     if not 0.0 < best_fraction <= 0.5:
         raise ValueError(f"best_fraction must be in (0, 0.5], got {best_fraction}")
-    if rng is None:
-        rng = np.random.default_rng()
+    if cloud is None:
+        rng = np.random.default_rng() if rng is None else rng
+        cloud = scaling_cloud(rng.random((cloud_size, model.dim)), model.centers, model.scaling)
+    elif not (
+        cloud.kernel is not None
+        and cloud.points.shape[0] == cloud_size
+        and np.array_equal(cloud.centers, model.centers)
+        and np.array_equal(cloud.scaling, model.scaling)
+    ):
+        raise ValueError("cloud was not drawn for this model's centers, scaling and cloud_size")
 
     d = model.dim
-    cloud = rng.random((cloud_size, d))
-    surface = model.evaluate_many(cloud)
+    surface = model.evaluate_many(cloud.points, cloud.kernel)
+    cloud.kernel = None
     keep = max(1, math.ceil(cloud_size * best_fraction))
-    kept = cloud[np.argpartition(surface, keep - 1)[:keep]]
+    kept = cloud.points[np.argpartition(surface, keep - 1)[:keep]]
 
     identity = SpaceScaling(
         matrix=np.eye(d), eigenvalues=np.ones(d), eigenvectors=np.eye(d), degenerate=True

@@ -11,7 +11,7 @@ from scipy.spatial.distance import cdist
 from rbfcors.cors import (
     ProposalSettings,
     RadiusSchedule,
-    _candidate_set,
+    draw_candidates,
     exclusion_radius,
     propose_batch,
     propose_point,
@@ -142,7 +142,8 @@ class TestProposePoint:
         prop = propose_point(model, points, 0.0, np.random.default_rng(42))
         assert not prop.fallback
 
-        cands = _candidate_set(2, 0.0, np.random.default_rng(42), ProposalSettings(), None)
+        rng = np.random.default_rng(42)
+        cands = draw_candidates(points, 0.0, rng, ProposalSettings(), False).uniform
         candidate_min = float(model.evaluate_many(cands).min())
         assert prop.surrogate_value <= candidate_min + 1e-12
         assert candidate_min - prop.surrogate_value < 1e-3
@@ -153,7 +154,8 @@ class TestProposePoint:
         prop = propose_point(model, points, radius, np.random.default_rng(5))
         assert not prop.fallback
 
-        cands = _candidate_set(2, radius, np.random.default_rng(5), ProposalSettings(), None)
+        rng = np.random.default_rng(5)
+        cands = draw_candidates(points, radius, rng, ProposalSettings(), False).uniform
         feasible = cands[cdist(cands, points).min(axis=1) >= radius]
         best_candidate = float(model.evaluate_many(feasible).min())
         assert prop.surrogate_value <= best_candidate + 1e-12
@@ -171,7 +173,8 @@ class TestProposePoint:
         prop = propose_point(model, points, 2.0, np.random.default_rng(8))
         assert prop.fallback
 
-        cands = _candidate_set(2, 2.0, np.random.default_rng(8), ProposalSettings(), None)
+        rng = np.random.default_rng(8)
+        cands = draw_candidates(points, 2.0, rng, ProposalSettings(), False).uniform
         dmin = cdist(cands, points).min(axis=1)
         np.testing.assert_array_equal(prop.x, cands[int(np.argmax(dmin))])
 
@@ -190,10 +193,10 @@ class TestProposePoint:
     def test_local_candidates_follow_incumbent(self):
         settings = ProposalSettings(uniform_per_dim=5, local_candidates=100)
         best = np.array([0.3, 0.7])
-        cands = _candidate_set(2, 0.01, np.random.default_rng(0), settings, best)
-        assert cands.shape == (110, 2)
+        draw = draw_candidates(best[None, :], 0.01, np.random.default_rng(0), settings, True)
+        assert draw.uniform.shape == (10, 2) and draw.offsets.shape == (100, 2)
         # The Gaussian tail sits near the incumbent (sigma = 0.05 here).
-        local = cands[10:]
+        local = best + draw.offsets
         assert float(np.median(cdist(local, best[None, :]))) < 0.15
 
     def test_rejects_negative_radius(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -12,9 +13,11 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+from rbfcors import cors, engine, rbf
 from rbfcors.benchmarks import builtin, multimodal
 from rbfcors.engine import (
     BatchEvaluationError,
+    DriverError,
     ObjectiveError,
     OptimizationConfig,
     best_so_far,
@@ -114,6 +117,35 @@ class TestEvaluateBatch:
         with pytest.raises(KeyboardInterrupt):
             evaluate_batch(interrupt_once, points, workers=1)
         assert started == [0]
+
+    def test_meanwhile_runs_once_per_batch_under_thread_churn(self):
+        # More workers than cores and a tiny switch interval: a lost update
+        # of the start count would leave the caller waiting for ever.
+        def brief(x):
+            time.sleep(0.002)
+            return float(x[0])
+
+        calls = []
+        points = [np.array([float(i)]) for i in range(24)]
+
+        def hook():
+            calls.append(1)
+
+        def batches():
+            for _ in range(20):
+                results = evaluate_batch(brief, points, workers=8, meanwhile=hook)
+                assert results == [float(i) for i in range(24)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=batches)
+            runner.start()
+            runner.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(calls) == 20
 
     def test_non_finite_value_is_an_error(self):
         with pytest.raises(BatchEvaluationError):
@@ -385,3 +417,133 @@ class TestRun:
         result = run(sphere_objective, unit_domain(), cfg)
         assert len(result.history) == 12
         assert result.best_f <= min(rec.f_raw for rec in result.history[:8])
+
+
+class TestLookahead:
+    """The next iteration's cloud and candidates are drawn while a batch
+    evaluates; failures keep the order they had without the overlap."""
+
+    def test_next_cloud_and_candidate_scan_finish_within_the_batch_before(self, monkeypatch):
+        cfg = OptimizationConfig(n_init=6, n_iter=6, batch_size=2, workers=2, seed=18)
+        lock = threading.Lock()
+        calls = []
+
+        def slow_sphere(x):
+            start = time.monotonic()
+            time.sleep(0.03)
+            with lock:
+                calls.append((start, time.monotonic()))
+            return sphere_objective(x)
+
+        finished = {"cloud": [], "uniform": []}
+        cubic_kernel, min_center_distance = rbf.cubic_kernel, cors._min_center_distance
+
+        def timed_kernel(points, centers):
+            kernel = cubic_kernel(points, centers)
+            if len(points) == cfg.cloud_size:
+                finished["cloud"].append(time.monotonic())
+            return kernel
+
+        def timed_distance(points, centers):
+            distances = min_center_distance(points, centers)
+            if len(points) == 2 * cfg.proposal.uniform_per_dim and len(centers) >= cfg.n_init:
+                finished["uniform"].append(time.monotonic())
+            return distances
+
+        monkeypatch.setattr(rbf, "cubic_kernel", timed_kernel)
+        monkeypatch.setattr(cors, "_min_center_distance", timed_distance)
+        run(slow_sphere, unit_domain(), cfg)
+
+        calls.sort()
+        # The design, then the first two surrogate batches; the last batch
+        # has no iteration left to look ahead for.
+        batches = [calls[:6], calls[6:8], calls[8:10]]
+        assert len(finished["cloud"]) == 3 and len(finished["uniform"]) == 6
+        for i, batch in enumerate(batches):
+            start, end = batch[0][0], max(call_end for _, call_end in batch)
+            assert start < finished["cloud"][i] < end
+            assert all(start < t < end for t in finished["uniform"][2 * i : 2 * i + 2])
+
+    def test_look_ahead_failure_is_a_driver_error_after_the_batch(self, monkeypatch):
+        cfg = OptimizationConfig(n_init=6, n_iter=6, batch_size=2, workers=2, seed=19)
+        look_ahead, fit = engine._look_ahead, engine.fit
+
+        def fails_for_iteration_3(rng, config, schedule, centers, iteration):
+            if iteration == 3:
+                raise RuntimeError("boom")
+            return look_ahead(rng, config, schedule, centers, iteration)
+
+        monkeypatch.setattr(engine, "_look_ahead", fails_for_iteration_3)
+        with pytest.raises(DriverError) as excinfo:
+            run(sphere_objective, unit_domain(), cfg)
+        assert str(excinfo.value) == "driver failed at iteration 3: boom"
+        assert len(excinfo.value.history) == 6 + 1 * 2
+
+        # A fit failing at the same iteration reads the same.
+        monkeypatch.setattr(engine, "_look_ahead", look_ahead)
+        fits = []
+
+        def second_fit_fails(points, values, scaling=None):
+            fits.append(len(points))
+            if len(points) == 8:
+                raise RuntimeError("boom")
+            return fit(points, values, scaling)
+
+        monkeypatch.setattr(engine, "fit", second_fit_fails)
+        with pytest.raises(DriverError) as fit_failure:
+            run(sphere_objective, unit_domain(), cfg)
+        assert str(fit_failure.value) == str(excinfo.value)
+        assert len(fit_failure.value.history) == len(excinfo.value.history)
+
+    def test_objective_failure_during_look_ahead_wins(self, monkeypatch):
+        cfg = OptimizationConfig(n_init=6, n_iter=6, batch_size=2, workers=2, seed=20)
+        clean = run(sphere_objective, unit_domain(), cfg).history
+        # Evaluations 8 and 9 are the batch of iteration 3, evaluated while
+        # iteration 5 is looked ahead for.
+        slow, failing = clean[8].x_original, clean[9].x_original
+        look_ahead = engine._look_ahead
+        looked_ahead = []
+
+        def slow_look_ahead(rng, config, schedule, centers, iteration):
+            looked_ahead.append(iteration)
+            result = look_ahead(rng, config, schedule, centers, iteration)
+            time.sleep(0.05)
+            return result
+
+        def fails_in_second_batch(x):
+            if np.array_equal(x, failing):
+                time.sleep(0.01)
+                raise RuntimeError("boom")
+            if np.array_equal(x, slow):
+                time.sleep(0.03)
+            return sphere_objective(x)
+
+        monkeypatch.setattr(engine, "_look_ahead", slow_look_ahead)
+        with pytest.raises(ObjectiveError, match="boom") as excinfo:
+            run(fails_in_second_batch, unit_domain(), cfg)
+        assert looked_ahead == [1, 3, 5]
+        history = excinfo.value.history
+        assert [rec.index for rec in history] == list(range(9))
+        for rec in history:
+            np.testing.assert_array_equal(rec.x_unit, clean[rec.index].x_unit)
+            assert rec.f_scaled == clean[rec.index].f_scaled
+
+    def test_interrupt_in_look_ahead_starts_no_further_call(self, monkeypatch):
+        started, finished = [], []
+
+        def interrupted(*args):
+            os.kill(os.getpid(), signal.SIGINT)
+            time.sleep(1.0)
+
+        def slow_sphere(x):
+            started.append(tuple(x))
+            time.sleep(0.1)
+            finished.append(tuple(x))
+            return sphere_objective(x)
+
+        monkeypatch.setattr(engine, "_look_ahead", interrupted)
+        cfg = OptimizationConfig(n_init=6, n_iter=2, workers=1, seed=21)
+        with pytest.raises(KeyboardInterrupt):
+            run(slow_sphere, unit_domain(), cfg)
+        assert len(started) == 1
+        assert finished == started

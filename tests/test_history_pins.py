@@ -1,0 +1,60 @@
+"""Histories pinned by hash: a change meant to be exact must leave every
+byte of these runs alone.
+
+The pins were computed at commit 0b84c72.  Each run stays at 40 centers or
+fewer, where the OpenBLAS thread count never changed a surface value.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from rbfcors.benchmarks import builtin
+from rbfcors.cli import history_to_csv
+from rbfcors.engine import OptimizationConfig, run
+from rbfcors.scaling import BoundedDomain
+
+# name: (objective, dim, config, sha256 of the history CSV, best_f)
+PINS = {
+    "multimodal, partial last batch": (
+        "multimodal",
+        2,
+        dict(n_init=6, n_iter=9, batch_size=2, workers=2, seed=3),
+        "9a6bce4a720acce02e6c30be0e5f4f1c7e03afb240901979f231744215085853",
+        2.3437255445225476,
+    ),
+    "sphere d=4": (
+        "sphere",
+        4,
+        dict(n_init=10, n_iter=12, batch_size=2, seed=5),
+        "94b1591f766354929cd2462441e40cdca289b53a6cf763efed3491554337e944",
+        0.0009952577774361383,
+    ),
+    "valley, batch 4 on one worker, no rescaling": (
+        "valley",
+        2,
+        dict(n_init=6, n_iter=8, batch_size=4, workers=1, seed=7, use_space_rescaling=False),
+        "e32af3d14aed702a1ff3f921f7cb114620f95859c46ed0718544629ecb8fd2ae",
+        0.004444444444444443,
+    ),
+    "multimodal, maximized": (
+        "multimodal",
+        2,
+        dict(n_init=6, n_iter=6, batch_size=2, seed=11, maximize=True),
+        "d8f770f80e6c973e5c42456d547651800b39ab3a4307d4eb94e6bd1626b0c66a",
+        11.58005548155527,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINS)
+def test_history_matches_its_pin(name):
+    objective_name, dim, settings, digest, best_f = PINS[name]
+    objective = builtin(objective_name, dim)
+    domain = BoundedDomain(objective.lower, objective.upper)
+    result = run(objective.evaluate, domain, OptimizationConfig(**settings))
+    csv = history_to_csv(result.history, dim)
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
+    assert result.best_f == best_f
