@@ -77,22 +77,61 @@ def diagonal_lh(n: int, d: int) -> LatinHypercube:
     return LatinHypercube(np.tile(np.arange(n), (max(d, 0), 1)))
 
 
-def _swap_terms(coords: np.ndarray, k1: int, k2: int, axis: int) -> tuple[float, float]:
-    """Sums of 1/dist over the pairs a (k1, k2) swap on axis can change,
-    before and after the swap.
+# Exchanges are drawn up to _CHUNK at a time, fewer for large designs: a
+# chunk's index arrays hold at most about _CHUNK_ELEMENTS entries, so no array
+# grows with `attempts`.
+_CHUNK = 1024
+_CHUNK_ELEMENTS = 1 << 18
+# At most _MAX_BLOCK exchanges are scored together, fewer for large designs:
+# a block's differences hold at most about _BLOCK_ELEMENTS floats.
+_MAX_BLOCK = 64
+_BLOCK_ELEMENTS = 1 << 16
 
-    Those are all pairs containing exactly one of k1, k2; the k1-k2 distance
-    itself is invariant under swapping one coordinate between them.  The
-    other points do not move, so they are taken once and the four touched
-    rows (k1, k2 before, then after) are measured against them together.
+
+def _draw_exchanges(rng: np.random.Generator, n: int, d: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The axes and point pairs of the next count exchanges, drawn by the
+    same calls in the same order as one attempt at a time."""
+    axes = np.empty(count, dtype=np.intp)
+    pairs = np.empty((count, 2), dtype=np.intp)
+    for i in range(count):
+        axes[i] = rng.integers(d)
+        pairs[i] = rng.choice(n, size=2, replace=False)
+    return axes, pairs
+
+
+def _exchange_indices(n: int, d: int, axes: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each exchange reads the design, as indices into coords.
+
+    An exchange of points k1, k2 on an axis changes only the pairs containing
+    exactly one of them; the k1-k2 distance itself is invariant under
+    swapping one coordinate between them.  moved (count, 4, d) indexes the
+    flattened coords for the rows (k1, k2, k1, k2), the last two with the
+    axis coordinate swapped; others (count, n-2) lists the other points in
+    ascending order.
     """
-    mask = np.ones(coords.shape[0], dtype=bool)
-    mask[[k1, k2]] = False
-    touched = coords[[k1, k2, k1, k2]]
-    touched[2:, axis] = touched[1::-1, axis]
-    diff = coords[mask][None, :, :] - touched[:, None, :]
-    inv = (1.0 / np.sqrt(np.einsum("kij,kij->ki", diff, diff))).sum(axis=1)
-    return float(inv[0]) + float(inv[1]), float(inv[2]) + float(inv[3])
+    count = len(axes)
+    moved = pairs[:, [0, 1, 0, 1], None] * d + np.arange(d)
+    rows = np.arange(count)
+    moved[rows, 2, axes] = moved[rows, 1, axes]
+    moved[rows, 3, axes] = moved[rows, 0, axes]
+    keep = np.ones((count, n), dtype=bool)
+    keep[rows[:, None], pairs] = False
+    return moved, np.nonzero(keep)[1].reshape(count, n - 2)
+
+
+def _first_improving(coords: np.ndarray, moved: np.ndarray, others: np.ndarray) -> int:
+    """Index of the first exchange in the block that strictly lowers the
+    spread of coords, or -1 if none does.
+
+    Each exchange compares its pair terms before (moved rows 0 and 1) and
+    after (rows 2 and 3).  Every exchange is scored from the same coords, so
+    only the first improving one is valid.
+    """
+    block, n_others, d = len(moved), others.shape[1], coords.shape[1]
+    diff = (coords[others][:, None] - coords.take(moved)[:, :, None]).reshape(4 * block, n_others, d)
+    inv = (1.0 / np.sqrt(np.einsum("kij,kij->ki", diff, diff))).sum(axis=1).reshape(block, 4)
+    improving = (inv[:, 2] + inv[:, 3] < inv[:, 0] + inv[:, 1]).tolist()
+    return improving.index(True) if True in improving else -1
 
 
 def improve_lh(lh: LatinHypercube, attempts: int = 1000, rng: np.random.Generator | None = None) -> LatinHypercube:
@@ -102,8 +141,14 @@ def improve_lh(lh: LatinHypercube, attempts: int = 1000, rng: np.random.Generato
     permutation and swaps their mesh indices (equivalently, swaps the two
     axis-aligned planes through those points).  The swap is kept only when
     the spread strictly decreases, so the result never gets worse and stays
-    a Latin hypercube.  The spread is updated incrementally from the pair
-    terms touched by the swap.
+    a Latin hypercube.  Each swap is judged by the pair terms it touches.
+
+    The exchanges are drawn first, a bounded chunk at a time, and then
+    scored in blocks from the current design: the first improving exchange
+    of a block is applied and scoring resumes after it.  The block grows
+    while nothing improves and drops back to one exchange after a swap.
+    Draws, arithmetic and decisions are those of trying one exchange at a
+    time, so the design and the generator's state afterwards are too.
     """
     if attempts < 0:
         raise ValueError(f"attempts must be non-negative, got {attempts}")
@@ -115,13 +160,24 @@ def improve_lh(lh: LatinHypercube, attempts: int = 1000, rng: np.random.Generato
     perms = lh.perms.copy()
     n, d = lh.n_points, lh.dim
     coords = lh.unit_points().copy()
+    chunk = max(1, min(_CHUNK, _CHUNK_ELEMENTS // (n + 4 * d)))
+    max_block = max(1, min(_MAX_BLOCK, _BLOCK_ELEMENTS // (4 * n * d)))
+    block = 1
 
-    for _ in range(attempts):
-        axis = int(rng.integers(d))
-        k1, k2 = (int(i) for i in rng.choice(n, size=2, replace=False))
-        before, after = _swap_terms(coords, k1, k2, axis)
-        if after < before:
-            perms[axis, k1], perms[axis, k2] = perms[axis, k2], perms[axis, k1]
-            coords[k1, axis], coords[k2, axis] = coords[k2, axis], coords[k1, axis]
+    for start in range(0, attempts, chunk):
+        axes, pairs = _draw_exchanges(rng, n, d, min(chunk, attempts - start))
+        moved, others = _exchange_indices(n, d, axes, pairs)
+        i = 0
+        while i < len(axes):
+            stop = min(i + block, len(axes))
+            hit = _first_improving(coords, moved[i:stop], others[i:stop])
+            if hit < 0:
+                i, block = stop, min(2 * block, max_block)
+            else:
+                i += hit
+                axis, pair = axes[i], pairs[i]
+                perms[axis, pair] = perms[axis, pair[::-1]]
+                coords[pair, axis] = coords[pair[::-1], axis]
+                i, block = i + 1, 1
 
     return LatinHypercube(perms)

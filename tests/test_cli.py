@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import sys
@@ -414,19 +415,27 @@ class TestExternalObjective:
 
 class TestLhsCommand:
     def test_design_file_shape_and_trailer(self, tmp_path):
-        out = tmp_path / "design.csv"
-        code = main(
-            ["lhs", "--n", "20", "--d", "2", "--attempts", "1000", "--seed", "1",
-             "--out", str(out)]
-        )
-        assert code == EXIT_OK
-        lines = out.read_text().splitlines()
-        assert lines[0] == "x_1,x_2"
-        assert len(lines) == 22  # header + 20 rows + trailer
-        trailer = lines[-1]
-        assert trailer.startswith("# spread=")
-        initial, final = trailer.removeprefix("# spread=").split(" -> ")
-        assert float(final) < float(initial)
+        # The digests were taken at commit 3fd6c29, before the exchanges
+        # were scored in blocks: the designs must stay byte for byte.
+        cases = [
+            (20, 2, 1000, 1, "8e62666be5c73fb99d061ba53656a6db3473f732e062f39c660305b446a531c7"),
+            (12, 5, 3000, 7, "f4c9416e1cd98c65445e4f92d57274efb6fc36b5df16fb79f54401c77f1f1fb3"),
+        ]
+        for n, d, attempts, seed, digest in cases:
+            out = tmp_path / f"design_{n}x{d}.csv"
+            code = main(
+                ["lhs", "--n", str(n), "--d", str(d), "--attempts", str(attempts),
+                 "--seed", str(seed), "--out", str(out)]
+            )
+            assert code == EXIT_OK
+            lines = out.read_text().splitlines()
+            assert lines[0] == ",".join(f"x_{axis + 1}" for axis in range(d))
+            assert len(lines) == n + 2  # header + n rows + trailer
+            trailer = lines[-1]
+            assert trailer.startswith("# spread=")
+            initial, final = trailer.removeprefix("# spread=").split(" -> ")
+            assert float(final) < float(initial)
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_zero_attempts_gives_diagonal(self, tmp_path):
         out = tmp_path / "design.csv"

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from rbfcors.lhs import LatinHypercube, diagonal_lh, improve_lh, spread
+from rbfcors.lhs import _CHUNK, LatinHypercube, diagonal_lh, improve_lh, spread
 
 
 def brute_force_spread(points: np.ndarray) -> float:
@@ -26,6 +29,59 @@ def brute_force_spread(points: np.ndarray) -> float:
 def is_latin(lh: LatinHypercube) -> bool:
     n = lh.n_points
     return all(sorted(row) == list(range(n)) for row in lh.perms)
+
+
+def _swap_terms(coords: np.ndarray, k1: int, k2: int, axis: int) -> tuple[float, float]:
+    """Sums of 1/dist over the pairs a (k1, k2) swap on axis can change,
+    before and after the swap, one exchange at a time."""
+    mask = np.ones(coords.shape[0], dtype=bool)
+    mask[[k1, k2]] = False
+    touched = coords[[k1, k2, k1, k2]]
+    touched[2:, axis] = touched[1::-1, axis]
+    diff = coords[mask][None, :, :] - touched[:, None, :]
+    inv = (1.0 / np.sqrt(np.einsum("kij,kij->ki", diff, diff))).sum(axis=1)
+    return float(inv[0]) + float(inv[1]), float(inv[2]) + float(inv[3])
+
+
+def reference_improve_lh(lh: LatinHypercube, attempts: int, rng: np.random.Generator) -> LatinHypercube:
+    """The exchange loop drawing and scoring one attempt at a time: the
+    blocked improve_lh must reproduce its designs and its random stream."""
+    perms = lh.perms.copy()
+    n, d = lh.n_points, lh.dim
+    coords = lh.unit_points().copy()
+    for _ in range(attempts):
+        axis = int(rng.integers(d))
+        k1, k2 = (int(i) for i in rng.choice(n, size=2, replace=False))
+        before, after = _swap_terms(coords, k1, k2, axis)
+        if after < before:
+            perms[axis, k1], perms[axis, k2] = perms[axis, k2], perms[axis, k1]
+            coords[k1, axis], coords[k2, axis] = coords[k2, axis], coords[k1, axis]
+    return LatinHypercube(perms)
+
+
+def assert_matches_reference(base: LatinHypercube, attempts: int, seed: int) -> None:
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    improved = improve_lh(base, attempts, rng)
+    expected = reference_improve_lh(base, attempts, oracle_rng)
+    np.testing.assert_array_equal(improved.perms, expected.perms)
+    assert rng.random() == oracle_rng.random()
+
+
+@st.composite
+def designs(draw):
+    """A diagonal or shuffled n-point design in d dimensions."""
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        return diagonal_lh(n, d)
+    shuffle = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return LatinHypercube(np.array([shuffle.permutation(n) for _ in range(d)]))
+
+
+# Attempt counts at and around the chunk boundaries, or anywhere up to 3000.
+ATTEMPTS = st.one_of(
+    st.sampled_from([0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1]),
+    st.integers(0, 3000),
+)
 
 
 class TestDiagonal:
@@ -132,6 +188,27 @@ class TestImprove:
         snapshot = base.perms.copy()
         improve_lh(base, 300, np.random.default_rng(2))
         np.testing.assert_array_equal(base.perms, snapshot)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(designs(), ATTEMPTS, st.integers(0, 2**32 - 1))
+    def test_matches_one_exchange_at_a_time(self, base, attempts, seed):
+        assert_matches_reference(base, attempts, seed)
+
+    @pytest.mark.parametrize("n, d", [(6, 2), (10, 4)])
+    def test_matches_one_exchange_at_a_time_on_benchmark_designs(self, n, d):
+        for seed in range(3):
+            assert_matches_reference(diagonal_lh(n, d), 1000, seed)
+
+    def test_memory_does_not_grow_with_attempts(self):
+        # An (attempts, 3) table of draws would take 480 KB here.
+        base, rng = diagonal_lh(4, 1), np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            improve_lh(base, 20_000, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
     def test_distinct_rows_after_improvement(self):
         rng = np.random.default_rng(5)
