@@ -129,6 +129,18 @@ class Proposal:
 
 
 def _min_center_distance(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each point's distance to its nearest center, inf with no centers.
+
+    cdist runs faster with the shorter array first, and the distances, hence
+    their minima, are the same either way.  On a 2-vCPU Xeon, over the calls
+    of three runs each: candidate scans (500-8000 points against 1-252
+    centers) took 0.30 ms p50 this way against 0.37 ms with the points
+    first on long-2d, 0.08 against 0.27 ms on tilt; pattern-search polls
+    with no more points than centers (up to 39 against up to 255) took
+    13.5 us against 21.4 us with the centers first on long-2d.
+    """
+    if len(points) > len(centers):
+        return cdist(centers, points).min(axis=0, initial=math.inf)
     return cdist(points, centers).min(axis=1, initial=math.inf)
 
 
@@ -181,30 +193,60 @@ def _pattern_search(
     centers: np.ndarray,
     radius: float,
     settings: ProposalSettings,
-) -> tuple[np.ndarray, float]:
+) -> np.ndarray:
     """Coordinate-wise polish that only ever accepts strict improvements and
-    never steps outside the cube or inside an exclusion ball."""
-    d = x.size
-    step = settings.initial_step
-    for _ in range(settings.pattern_steps):
-        improved = False
-        for axis in range(d):
-            for sign in (1.0, -1.0):
-                trial = x.copy()
-                trial[axis] += sign * step
-                if trial[axis] < 0.0 or trial[axis] > 1.0:
-                    continue
-                if not _feasible(_min_center_distance(trial[None, :], centers)[0], radius):
-                    continue
-                value = model.evaluate(trial)
-                if value < fx:
-                    x, fx = trial, value
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < settings.min_step:
-                break
-    return x, fx
+    never steps outside the cube or inside an exclusion ball.
+
+    A sweep tries x[axis] + step, then x[axis] - step, axis by axis, and
+    moves to each strict improvement at once.  A sweep without one halves
+    the step; the search ends when the step falls below min_step or after
+    pattern_steps sweeps.  Until a trial improves, no trial ahead depends
+    on a value, so each poll measures and evaluates at once every trial
+    the sweeps would reach if none did: the rest of the current sweep, the
+    same step once more if that sweep improved, then one sweep per smaller
+    step level.  The first improving trial in sweep order is accepted, and
+    the next poll starts right after it.
+
+    This moves as the one-trial-at-a-time loop does unless a trial's value
+    is within rounding of the current one: a batched evaluation can differ
+    from a one-row evaluation in the last bits.  The tests check the match
+    against that loop on random models, and it held in every one of 930
+    pattern searches replayed from long-2d and tilt runs.
+    """
+    width = 2 * x.size
+    levels = [settings.initial_step]
+    while levels[-1] * 0.5 >= settings.min_step:
+        levels.append(levels[-1] * 0.5)
+    # Row level * width + position holds the sweep's move at that position:
+    # +step, then -step, along each axis in turn, and zeros elsewhere, which
+    # leave the other coordinates of x exactly as they are.
+    unit = np.repeat(np.eye(x.size), 2, axis=0) * np.tile([1.0, -1.0], x.size)[:, None]
+    moves = (np.array(levels)[:, None, None] * unit).reshape(-1, x.size)
+    level, sweeps, start, improved = 0, settings.pattern_steps, 0, False
+    while sweeps > 0:
+        following = level if improved else level + 1
+        later = min(sweeps - 1, len(levels) - following)
+        rest = moves[level * width + start : (level + 1) * width]
+        ahead = moves[following * width : (following + later) * width]
+        trials = x + np.concatenate((rest, ahead))
+        keep = np.all((trials >= 0.0) & (trials <= 1.0), axis=1)
+        keep &= _feasible(_min_center_distance(trials, centers), radius)
+        kept = np.flatnonzero(keep)
+        if not len(kept):
+            break
+        values = model.evaluate_many(trials[kept])
+        better = np.flatnonzero(values < fx)
+        if not len(better):
+            break
+        first = kept[better[0]]
+        x, fx = trials[first], values[better[0]]
+        if first < len(rest):
+            start += first + 1
+        else:
+            sweep, position = divmod(first - len(rest), width)
+            level, sweeps, start = following + sweep, sweeps - 1 - sweep, position + 1
+        improved = True
+    return x
 
 
 def propose_point(
@@ -269,10 +311,8 @@ def propose_point(
     survivors = cands[feasible]
     values = model.evaluate_many(survivors)
     best = int(np.argmin(values))
-    x, fx = _pattern_search(
-        model, survivors[best], float(values[best]), centers, radius, settings
-    )
-    return Proposal(x=x, radius=radius, fallback=False, surrogate_value=fx)
+    x = _pattern_search(model, survivors[best], float(values[best]), centers, radius, settings)
+    return Proposal(x=x, radius=radius, fallback=False, surrogate_value=model.evaluate(x))
 
 
 def propose_batch(

@@ -2,11 +2,12 @@
 
 The run alternates between fitting the response surface to everything
 evaluated so far and proposing a batch of new points under the shrinking
-exclusion-radius schedule.  Batches are evaluated concurrently; all random
-draws happen serially in the driver, so results depend only on the seed and
-the batch size, not on worker count or completion order.  While a batch
-evaluates, the driver already draws what the next iteration needs from the
-random stream and computes the distances that need no objective value.
+exclusion-radius schedule.  Batches are evaluated concurrently, in one
+thread pool that serves the whole run; all random draws happen serially in
+the driver, so results depend only on the seed and the batch size, not on
+worker count or completion order.  While a batch evaluates, the driver
+already draws what the next iteration needs from the random stream and
+computes the distances that need no objective value.
 """
 
 from __future__ import annotations
@@ -148,13 +149,16 @@ class OptimizationResult:
     rescaler: ObjectiveRescaler
 
 
-def evaluate_batch(objective, points, workers: int, meanwhile=None) -> list[float]:
-    """Evaluate the objective at each point, up to `workers` calls at a time.
+def evaluate_batch(
+    objective, points, pool: ThreadPoolExecutor, workers: int, meanwhile=None
+) -> list[float]:
+    """Evaluate the objective at each point in the thread pool, whose size
+    workers gives, so up to `workers` calls run at a time.
 
     Results come back in input order.  The first call that raises or returns
     a non-finite value, or any exception reaching the caller while it waits,
-    stops every call not yet started; calls already running finish, and their
-    results are reported alongside the failure.
+    stops every call not yet started; calls already running finish before
+    this returns, and their results are reported alongside the failure.
 
     meanwhile, if given, is called with no arguments on the calling thread
     once the first min(workers, len(points)) calls have entered the
@@ -188,17 +192,19 @@ def evaluate_batch(objective, points, workers: int, meanwhile=None) -> list[floa
             started.set()
             raise
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        try:
-            futures = [pool.submit(call, point) for point in points]
-            if meanwhile is not None and futures:
-                started.wait()
-                if not stop.is_set():
-                    meanwhile()
-            wait(futures)
-        except BaseException:
-            stop.set()
-            raise
+    futures = []
+    try:
+        for point in points:
+            futures.append(pool.submit(call, point))
+        if meanwhile is not None and futures:
+            started.wait()
+            if not stop.is_set():
+                meanwhile()
+        wait(futures)
+    except BaseException:
+        stop.set()
+        wait(futures)
+        raise
     errors = {i: f.exception() for i, f in enumerate(futures) if f.exception() is not None}
     if errors:
         index = min(errors)
@@ -271,6 +277,7 @@ def _evaluate_into(
     objective,
     domain: BoundedDomain,
     config: OptimizationConfig,
+    pool: ThreadPoolExecutor,
     units,
     proposals: list[Proposal] | None = None,
     rescaler: ObjectiveRescaler | None = None,
@@ -279,15 +286,17 @@ def _evaluate_into(
     """Evaluate unit points as one batch and append a record per value.
 
     Without proposals the points are the initial design, recorded unscaled
-    and without a radius.  meanwhile is handed to evaluate_batch.  On
-    failure, every call in the batch that returned a valid non-negative
+    and without a radius.  pool and meanwhile are handed to evaluate_batch.
+    On failure, every call in the batch that returned a valid non-negative
     value is recorded at its true index before ObjectiveError carries the
     history out.
     """
     originals = [domain.from_unit(x) for x in units]
     failure: BatchEvaluationError | None = None
     try:
-        values = dict(enumerate(evaluate_batch(objective, originals, config.workers, meanwhile)))
+        values = dict(
+            enumerate(evaluate_batch(objective, originals, pool, config.workers, meanwhile))
+        )
     except BatchEvaluationError as err:
         failure, values = err, err.completed
     minimized = maximization_wrapper(float) if config.maximize else float
@@ -326,7 +335,8 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
 
     The objective receives points in original (bounded) coordinates and must
     return a finite non-negative scalar.  Exactly n_init + n_iter evaluations
-    are spent; each batch logs one INFO progress record to rbfcors.engine.
+    are spent, in one pool of config.workers threads that lives as long as
+    the run; each batch logs one INFO progress record to rbfcors.engine.
     A failure after the initial design raises ObjectiveError or DriverError,
     either carrying the history so far.
     """
@@ -344,55 +354,59 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
             dim=domain.dim,
         )
         ahead = _Lookahead(rng, config, schedule, units, 1)
-    history: list[EvaluationRecord] = []
-    _evaluate_into(history, objective, domain, config, units, meanwhile=ahead)
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        history: list[EvaluationRecord] = []
+        _evaluate_into(history, objective, domain, config, pool, units, meanwhile=ahead)
 
-    rescaler = fit_rescaler(np.array([rec.f_raw for rec in history]), config.keep_fraction)
-    history = [
-        replace(rec, f_scaled=rescaler.rescale(rec.f_raw)) for rec in history
-    ]
+        rescaler = fit_rescaler(np.array([rec.f_raw for rec in history]), config.keep_fraction)
+        history = [
+            replace(rec, f_scaled=rescaler.rescale(rec.f_raw)) for rec in history
+        ]
 
-    batch = config.effective_batch()
-    for iteration in range(1, config.n_iter + 1, batch):
-        k = min(batch, config.n_iter - iteration + 1)
-        centers = np.array([rec.x_unit for rec in history])
-        scaled_values = np.array([rec.f_scaled for rec in history])
-        try:
-            if ahead.error is not None:
-                raise ahead.error
-            model = fit(centers, scaled_values)
-            if config.use_space_rescaling:
-                scaling = compute_space_scaling(
-                    model, config.cloud_size, config.best_fraction, rng, cloud=ahead.cloud
+        batch = config.effective_batch()
+        for iteration in range(1, config.n_iter + 1, batch):
+            k = min(batch, config.n_iter - iteration + 1)
+            centers = np.array([rec.x_unit for rec in history])
+            scaled_values = np.array([rec.f_scaled for rec in history])
+            try:
+                if ahead.error is not None:
+                    raise ahead.error
+                model = fit(centers, scaled_values)
+                if config.use_space_rescaling:
+                    scaling = compute_space_scaling(
+                        model, config.cloud_size, config.best_fraction, rng, cloud=ahead.cloud
+                    )
+                    model = refit_with_scaling(centers, scaled_values, scaling)
+                incumbent = best_so_far(history)
+                proposals = propose_batch(
+                    model,
+                    centers,
+                    schedule,
+                    iteration,
+                    k,
+                    rng,
+                    config.proposal,
+                    incumbent.x_unit,
+                    draws=ahead.draws,
                 )
-                model = refit_with_scaling(centers, scaled_values, scaling)
-            incumbent = best_so_far(history)
-            proposals = propose_batch(
-                model,
-                centers,
-                schedule,
-                iteration,
-                k,
-                rng,
-                config.proposal,
-                incumbent.x_unit,
-                draws=ahead.draws,
+            except Exception as exc:
+                # Any failure here is the driver's; the history is still worth keeping.
+                raise DriverError(
+                    f"driver failed at iteration {iteration}: {exc}", history
+                ) from exc
+            units = [p.x for p in proposals]
+            ahead = None
+            if iteration + k <= config.n_iter:
+                pending = np.vstack([centers, units])
+                ahead = _Lookahead(rng, config, schedule, pending, iteration + k)
+            _evaluate_into(
+                history, objective, domain, config, pool, units, proposals, rescaler, ahead
             )
-        except Exception as exc:
-            # Any failure here is the driver's; the history is still worth keeping.
-            raise DriverError(
-                f"driver failed at iteration {iteration}: {exc}", history
-            ) from exc
-        units = [p.x for p in proposals]
-        ahead = None
-        if iteration + k <= config.n_iter:
-            ahead = _Lookahead(rng, config, schedule, np.vstack([centers, units]), iteration + k)
-        _evaluate_into(history, objective, domain, config, units, proposals, rescaler, ahead)
-        last = iteration + k - 1
-        rho, best = schedule.density(last), best_so_far(history).f_raw
-        log.info(
-            "iter=%d rho=%.6f r=%.6f best=%.6g", last, rho, proposals[-1].radius, best
-        )
+            last = iteration + k - 1
+            rho, best = schedule.density(last), best_so_far(history).f_raw
+            log.info(
+                "iter=%d rho=%.6f r=%.6f best=%.6g", last, rho, proposals[-1].radius, best
+            )
 
     best = best_so_far(history)
     return OptimizationResult(

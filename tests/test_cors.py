@@ -6,11 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from rbfcors.cors import (
     ProposalSettings,
     RadiusSchedule,
+    _feasible,
+    _min_center_distance,
+    _pattern_search,
     draw_candidates,
     exclusion_radius,
     propose_batch,
@@ -203,6 +208,143 @@ class TestProposePoint:
         model, points = sphere_model(np.random.default_rng(5))
         with pytest.raises(ValueError):
             propose_point(model, points, -0.1, np.random.default_rng(0))
+
+
+class TestMinCenterDistance:
+    @pytest.mark.parametrize("n_points, n_centers", [(0, 3), (3, 0), (1, 40), (40, 1), (500, 7)])
+    def test_matches_the_row_wise_scan_bitwise(self, n_points, n_centers):
+        # More points than centers puts the centers first in cdist.
+        rng = np.random.default_rng(n_points + n_centers)
+        points, centers = rng.random((n_points, 3)), rng.random((n_centers, 3))
+        expected = cdist(points, centers).min(axis=1, initial=math.inf)
+        np.testing.assert_array_equal(_min_center_distance(points, centers), expected)
+
+
+def sequential_pattern_search(model, x, fx, centers, radius, settings):
+    """The pattern search polling one trial at a time: the polled search
+    must reach the same point."""
+    d = x.size
+    step = settings.initial_step
+    for _ in range(settings.pattern_steps):
+        improved = False
+        for axis in range(d):
+            for sign in (1.0, -1.0):
+                trial = x.copy()
+                trial[axis] += sign * step
+                if trial[axis] < 0.0 or trial[axis] > 1.0:
+                    continue
+                if not _feasible(_min_center_distance(trial[None, :], centers)[0], radius):
+                    continue
+                value = model.evaluate(trial)
+                if value < fx:
+                    x, fx = trial, value
+                    improved = True
+        if not improved:
+            step *= 0.5
+            if step < settings.min_step:
+                break
+    return x
+
+
+def wavy_model(rng, dim, n_points):
+    """A fitted surface with many local minima, under a random scaling."""
+    points = rng.random((n_points, dim))
+    values = np.sin(7.0 * points).sum(axis=1) + rng.random(n_points)
+    mix = rng.normal(size=(dim, dim)) + 2.0 * np.eye(dim)
+    return fit(points, values, mix), points
+
+
+class TestPatternSearch:
+    def polish_both(self, model, x, centers, radius, knobs):
+        fx = model.evaluate(x)
+        expected = sequential_pattern_search(model, x, fx, centers, radius, knobs)
+        polled = _pattern_search(model, x, fx, centers, radius, knobs)
+        np.testing.assert_array_equal(polled, expected)
+        return polled
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 4),
+        pattern_steps=st.sampled_from([0, 1, 2, 3, 7, 50]),
+        min_fraction=st.sampled_from([1.0, 0.5, 0.3, 1e-2, 1e-3]),
+        radius=st.sampled_from([0.0, 0.02, 0.1, 0.3]),
+        face=st.booleans(),
+    )
+    def test_matches_the_sequential_loop(
+        self, seed, dim, pattern_steps, min_fraction, radius, face
+    ):
+        rng = np.random.default_rng(seed)
+        model, centers = wavy_model(rng, dim, int(rng.integers(dim + 2, 30)))
+        x = rng.random(dim)
+        if face:
+            x[int(rng.integers(dim))] = float(rng.integers(2))
+        initial_step = float(rng.uniform(0.01, 0.2))
+        knobs = ProposalSettings(
+            pattern_steps=pattern_steps,
+            initial_step=initial_step,
+            min_step=initial_step * min_fraction,
+        )
+        self.polish_both(model, x, centers, radius, knobs)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"pattern_steps": 0},
+            {"pattern_steps": 1},
+            # One step level: the first sweep without an improvement ends it.
+            {"initial_step": 0.03, "min_step": 0.03},
+            # Three sweeps run out long before the seven-level ladder does.
+            {"pattern_steps": 3, "initial_step": 0.1, "min_step": 1e-3},
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(8))
+    def test_budget_and_ladder_edges(self, overrides, seed):
+        rng = np.random.default_rng(seed)
+        model, centers = wavy_model(rng, 3, 20)
+        x = rng.random(3)
+        polled = self.polish_both(model, x, centers, 0.0, ProposalSettings(**overrides))
+        if overrides.get("pattern_steps") == 0:
+            np.testing.assert_array_equal(polled, x)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_dimension_from_either_face(self, seed):
+        rng = np.random.default_rng(seed)
+        model, centers = wavy_model(rng, 1, 8)
+        for start in (0.0, 1.0, float(rng.random())):
+            self.polish_both(model, np.array([start]), centers, 0.01, ProposalSettings())
+
+    def test_every_trial_infeasible_keeps_the_start(self):
+        rng = np.random.default_rng(9)
+        model, centers = wavy_model(rng, 2, 12)
+        x = np.array([0.4, 0.6])
+        # Every trial lies within initial_step of x, so within 0.2 of a center at x.
+        walled = np.vstack([centers, x])
+        polled = self.polish_both(model, x, walled, 0.2, ProposalSettings())
+        np.testing.assert_array_equal(polled, x)
+
+    def test_reaches_a_lower_feasible_point(self):
+        rng = np.random.default_rng(10)
+        model, centers = wavy_model(rng, 2, 15)
+        x = np.array([0.5, 0.5])
+        polled = self.polish_both(model, x, centers, 0.05, ProposalSettings())
+        assert model.evaluate(polled) < model.evaluate(x)
+        assert np.all((polled >= 0.0) & (polled <= 1.0))
+        assert _min_center_distance(polled[None, :], centers)[0] >= 0.05
+
+
+class TestSurrogateValue:
+    def test_is_the_one_point_value_at_the_proposal(self):
+        model, points = sphere_model(np.random.default_rng(11))
+        prop = propose_point(model, points, 0.05, np.random.default_rng(12))
+        assert not prop.fallback
+        assert prop.surrogate_value == model.evaluate(prop.x)
+
+    def test_is_the_one_point_value_on_the_fallback(self):
+        model, points = sphere_model(np.random.default_rng(13))
+        prop = propose_point(model, points, 2.0, np.random.default_rng(14))
+        assert prop.fallback
+        assert prop.surrogate_value == model.evaluate(prop.x)
 
 
 class TestProposeBatch:

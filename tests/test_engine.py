@@ -8,6 +8,7 @@ import signal
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -42,16 +43,24 @@ class TestEvaluateBatch:
             return float(x[0])
 
         points = [np.array([float(i)]) for i in range(4)]
-        results = evaluate_batch(slow_for_small, points, workers=4)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = evaluate_batch(slow_for_small, points, pool, 4)
         assert results == [0.0, 1.0, 2.0, 3.0]
 
     def test_serial_matches_plain_loop(self):
         points = [np.array([i / 7, i / 11]) for i in range(8)]
-        results = evaluate_batch(sphere_objective, points, workers=1)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            results = evaluate_batch(sphere_objective, points, pool, 1)
         assert results == [sphere_objective(p) for p in points]
 
     def test_empty_input(self):
-        assert evaluate_batch(sphere_objective, [], workers=4) == []
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert evaluate_batch(sphere_objective, [], pool, 4) == []
+
+    def test_workers_below_one_rejected(self):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(ValueError, match="workers"):
+                evaluate_batch(sphere_objective, [np.zeros(1)], pool, 0)
 
     def test_worker_cap_respected(self):
         active = 0
@@ -68,7 +77,8 @@ class TestEvaluateBatch:
                 active -= 1
             return 0.0
 
-        evaluate_batch(tracked, [np.zeros(1)] * 12, workers=3)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            evaluate_batch(tracked, [np.zeros(1)] * 12, pool, 3)
         assert peak <= 3
 
     def test_failure_reports_completed_points(self):
@@ -78,8 +88,9 @@ class TestEvaluateBatch:
             return float(x[0])
 
         points = [np.array([float(i)]) for i in range(5)]
-        with pytest.raises(BatchEvaluationError) as excinfo:
-            evaluate_batch(fragile, points, workers=1)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(BatchEvaluationError) as excinfo:
+                evaluate_batch(fragile, points, pool, 1)
         completed = excinfo.value.completed
         assert completed == {0: 0.0, 1: 1.0}
         assert "boom" in str(excinfo.value)
@@ -95,13 +106,14 @@ class TestEvaluateBatch:
             return 0.0
 
         points = [np.array([float(i)]) for i in range(6)]
-        with pytest.raises(BatchEvaluationError) as excinfo:
-            evaluate_batch(fail_at_one, points, workers=2)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            with pytest.raises(BatchEvaluationError) as excinfo:
+                evaluate_batch(fail_at_one, points, pool, 2)
         assert sorted(started) == [0, 1]
         assert excinfo.value.completed == {0: 0.0}
 
     def test_interrupt_starts_no_further_call(self):
-        started = []
+        started, finished = [], []
 
         def interrupt_once(x):
             started.append(int(x[0]))
@@ -111,12 +123,35 @@ class TestEvaluateBatch:
                 time.sleep(0.1)
                 os.kill(os.getpid(), signal.SIGINT)
             time.sleep(0.1)
+            finished.append(int(x[0]))
             return 0.0
 
         points = [np.array([float(i)]) for i in range(4)]
-        with pytest.raises(KeyboardInterrupt):
-            evaluate_batch(interrupt_once, points, workers=1)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(KeyboardInterrupt):
+                evaluate_batch(interrupt_once, points, pool, 1)
+            # The pool still runs, but the call in flight has already finished.
+            assert finished == [0]
         assert started == [0]
+
+    def test_meanwhile_waits_for_a_call_per_worker(self):
+        started, seen = [], []
+        release = threading.Event()
+
+        def held(x):
+            started.append(int(x[0]))
+            release.wait(timeout=5.0)
+            return float(x[0])
+
+        def hook():
+            seen.append(len(started))
+            release.set()
+
+        points = [np.array([float(i)]) for i in range(5)]
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            results = evaluate_batch(held, points, pool, 3, meanwhile=hook)
+        assert seen == [3]
+        assert results == [float(i) for i in range(5)]
 
     def test_meanwhile_runs_once_per_batch_under_thread_churn(self):
         # More workers than cores and a tiny switch interval: a lost update
@@ -132,9 +167,10 @@ class TestEvaluateBatch:
             calls.append(1)
 
         def batches():
-            for _ in range(20):
-                results = evaluate_batch(brief, points, workers=8, meanwhile=hook)
-                assert results == [float(i) for i in range(24)]
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(20):
+                    results = evaluate_batch(brief, points, pool, 8, meanwhile=hook)
+                    assert results == [float(i) for i in range(24)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -148,10 +184,23 @@ class TestEvaluateBatch:
         assert len(calls) == 20
 
     def test_non_finite_value_is_an_error(self):
-        with pytest.raises(BatchEvaluationError):
-            evaluate_batch(lambda x: float("nan"), [np.zeros(1)], workers=1)
-        with pytest.raises(BatchEvaluationError):
-            evaluate_batch(lambda x: float("inf"), [np.zeros(1)], workers=1)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(BatchEvaluationError):
+                evaluate_batch(lambda x: float("nan"), [np.zeros(1)], pool, 1)
+            with pytest.raises(BatchEvaluationError):
+                evaluate_batch(lambda x: float("inf"), [np.zeros(1)], pool, 1)
+
+    def test_pool_outlives_a_failed_batch(self):
+        def fragile(x):
+            if x[0] == 1.0:
+                raise RuntimeError("boom")
+            return float(x[0])
+
+        points = [np.array([float(i)]) for i in range(4)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            with pytest.raises(BatchEvaluationError):
+                evaluate_batch(fragile, points, pool, 2)
+            assert evaluate_batch(fragile, points[2:], pool, 2) == [2.0, 3.0]
 
 
 class TestBestSoFar:
@@ -271,6 +320,20 @@ class TestRun:
             np.testing.assert_array_equal(a.x_unit, b.x_unit)
             assert a.f_raw == b.f_raw and a.f_scaled == b.f_scaled
             assert a.radius_used == b.radius_used and a.fallback == b.fallback
+
+    def test_one_pool_serves_the_whole_run(self):
+        threads = set()
+
+        def recorded(x):
+            threads.add(threading.current_thread().name)
+            return sphere_objective(x)
+
+        cfg = OptimizationConfig(n_init=8, n_iter=6, batch_size=2, workers=2, seed=7)
+        run(recorded, unit_domain(), cfg)
+        # Each pool names its threads afresh, so a pool per batch shows up
+        # as more names than workers.
+        assert 1 <= len(threads) <= cfg.workers
+        assert threading.main_thread().name not in threads
 
     def test_repeat_run_reproduces_history(self):
         cfg = OptimizationConfig(n_init=8, n_iter=5, seed=8)

@@ -1,8 +1,10 @@
 """Histories pinned by hash: a change meant to be exact must leave every
 byte of these runs alone.
 
-The pins were computed at commit 0b84c72.  Each run stays at 40 centers or
-fewer, where the OpenBLAS thread count never changed a surface value.
+The first four pins were computed at commit 0b84c72, the two pattern-search
+pins at commit 47d00f8, before the search polled its trials in batches.  Each
+run stays at 40 centers or fewer, where the OpenBLAS thread count never
+changed a surface value.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import pytest
 
 from rbfcors.benchmarks import builtin
 from rbfcors.cli import history_to_csv
+from rbfcors.cors import ProposalSettings
 from rbfcors.engine import OptimizationConfig, run
 from rbfcors.scaling import BoundedDomain
 
@@ -45,6 +48,27 @@ PINS = {
         dict(n_init=6, n_iter=6, batch_size=2, seed=11, maximize=True),
         "d8f770f80e6c973e5c42456d547651800b39ab3a4307d4eb94e6bd1626b0c66a",
         11.58005548155527,
+    ),
+    "sphere d=3, pattern search cut off after two sweeps": (
+        "sphere",
+        3,
+        dict(n_init=8, n_iter=10, batch_size=2, seed=4, proposal=ProposalSettings(pattern_steps=2)),
+        "905a636c8876a919b1b612b38aa2ae513c16032e6575c836833049837999011f",
+        0.0011461377291287049,
+    ),
+    "valley, pattern search on one step level": (
+        "valley",
+        2,
+        dict(
+            n_init=6,
+            n_iter=10,
+            batch_size=2,
+            workers=2,
+            seed=9,
+            proposal=ProposalSettings(initial_step=0.02, min_step=0.02),
+        ),
+        "4a6771509ee1a2f14a6233843ebe34b7e09bde6ef597e7dd23cde0818666cf87",
+        0.016677721213225968,
     ),
 }
 
