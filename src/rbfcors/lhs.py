@@ -89,13 +89,27 @@ _BLOCK_ELEMENTS = 1 << 16
 
 
 def _draw_exchanges(rng: np.random.Generator, n: int, d: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The axes and point pairs of the next count exchanges, drawn by the
-    same calls in the same order as one attempt at a time."""
-    axes = np.empty(count, dtype=np.intp)
-    pairs = np.empty((count, 2), dtype=np.intp)
-    for i in range(count):
-        axes[i] = rng.integers(d)
-        pairs[i] = rng.choice(n, size=2, replace=False)
+    """The axes and point pairs of the next count exchanges, equal to
+    drawing each attempt as rng.integers(d), then
+    rng.choice(n, 2, replace=False), and leaving the generator in the same
+    state.
+
+    One rng.integers call with the highs (d, n - 1, n, 2) per row draws
+    every bound of the chunk in row order through numpy's own bounded
+    draw, the one both per-attempt calls use: it takes no word for a range
+    of one (d == 1, or n == 2 for the first index) and redraws a rejected
+    word itself.  choice runs Floyd's sample, a first index below n - 1 and
+    a second below n that becomes n - 1 if it equals the first, then
+    shuffles the pair with one more bounded draw below 2, reversing it on
+    0.  That choice works this way is numpy's implementation, not a
+    documented contract, so tests pin the values and the full generator
+    state against the per-attempt calls on the installed numpy.
+    """
+    axes, first, second, order = rng.integers(0, np.array([d, n - 1, n, 2]), size=(count, 4)).T
+    second[second == first] = n - 1
+    pairs = np.stack([first, second], axis=1)
+    flip = order == 0
+    pairs[flip] = pairs[flip, ::-1]
     return axes, pairs
 
 
@@ -147,8 +161,12 @@ def improve_lh(lh: LatinHypercube, attempts: int = 1000, rng: np.random.Generato
     scored in blocks from the current design: the first improving exchange
     of a block is applied and scoring resumes after it.  The block grows
     while nothing improves and drops back to one exchange after a swap.
-    Draws, arithmetic and decisions are those of trying one exchange at a
-    time, so the design and the generator's state afterwards are too.
+    Each chunk comes from one rng.integers call that draws the bounds of
+    rng.integers(d) and rng.choice(n, 2, replace=False) for every exchange
+    (see _draw_exchanges).  Draws, arithmetic and decisions are those of
+    trying one exchange at a time with those two calls, so the design and
+    the generator's state afterwards are too; tests pin both against the
+    per-attempt calls on the installed numpy.
     """
     if attempts < 0:
         raise ValueError(f"attempts must be non-negative, got {attempts}")

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from rbfcors.lhs import _CHUNK, LatinHypercube, diagonal_lh, improve_lh, spread
+from rbfcors.lhs import _CHUNK, LatinHypercube, _draw_exchanges, diagonal_lh, improve_lh, spread
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
 
 
 def brute_force_spread(points: np.ndarray) -> float:
@@ -59,12 +61,56 @@ def reference_improve_lh(lh: LatinHypercube, attempts: int, rng: np.random.Gener
     return LatinHypercube(perms)
 
 
-def assert_matches_reference(base: LatinHypercube, attempts: int, seed: int) -> None:
-    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+def assert_same_state(rng: np.random.Generator, oracle_rng: np.random.Generator) -> None:
+    """The whole bit-generator state, including any buffered 32-bit half
+    that a 64-bit draw would skip over, and array fields such as MT19937's key."""
+
+    def equal(a, b) -> bool:
+        if isinstance(a, dict):
+            return a.keys() == b.keys() and all(equal(a[key], b[key]) for key in a)
+        if isinstance(a, np.ndarray):
+            return np.array_equal(a, b)
+        return a == b
+
+    assert equal(rng.bit_generator.state, oracle_rng.bit_generator.state)
+
+
+def assert_matches_reference(
+    base: LatinHypercube, attempts: int, seed: int, bit_generator=np.random.PCG64
+) -> None:
+    rng, oracle_rng = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
     improved = improve_lh(base, attempts, rng)
     expected = reference_improve_lh(base, attempts, oracle_rng)
     np.testing.assert_array_equal(improved.perms, expected.perms)
-    assert rng.random() == oracle_rng.random()
+    assert_same_state(rng, oracle_rng)
+
+
+def reference_draws(rng: np.random.Generator, n: int, d: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exchanges of count attempts, drawn by the per-attempt calls."""
+    axes, pairs = [], []
+    for _ in range(count):
+        axes.append(int(rng.integers(d)))
+        pairs.append([int(i) for i in rng.choice(n, size=2, replace=False)])
+    return np.array(axes), np.array(pairs)
+
+
+class CountingGenerator:
+    """A generator that records the name and size of each method call."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        attr = getattr(self._rng, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls.append((name, kwargs.get("size")))
+            return attr(*args, **kwargs)
+
+        return counted
 
 
 @st.composite
@@ -194,10 +240,23 @@ class TestImprove:
     def test_matches_one_exchange_at_a_time(self, base, attempts, seed):
         assert_matches_reference(base, attempts, seed)
 
-    @pytest.mark.parametrize("n, d", [(6, 2), (10, 4)])
-    def test_matches_one_exchange_at_a_time_on_benchmark_designs(self, n, d):
+    @pytest.mark.parametrize(
+        "n, d, bit_generator",
+        [
+            pytest.param(n, d, gen, id=f"{n}-{d}" if gen is np.random.PCG64 else f"{n}-{d}-{gen.__name__}")
+            for n, d in [(6, 2), (10, 4)]
+            for gen in BIT_GENERATORS
+        ],
+    )
+    def test_matches_one_exchange_at_a_time_on_benchmark_designs(self, n, d, bit_generator):
         for seed in range(3):
-            assert_matches_reference(diagonal_lh(n, d), 1000, seed)
+            assert_matches_reference(diagonal_lh(n, d), 1000, seed, bit_generator)
+
+    def test_one_bulk_draw_per_chunk(self):
+        # Per-attempt draws would make 1000 integers and 1000 choice calls.
+        rng = CountingGenerator(np.random.default_rng(0))
+        improve_lh(diagonal_lh(6, 2), 1000, rng)
+        assert rng.calls == [("integers", (1000, 4))]
 
     def test_memory_does_not_grow_with_attempts(self):
         # An (attempts, 3) table of draws would take 480 KB here.
@@ -214,6 +273,50 @@ class TestImprove:
         rng = np.random.default_rng(5)
         improved = improve_lh(diagonal_lh(20, 2), 1000, rng)
         assert pdist(improved.unit_points()).min() > 0.0
+
+
+class TestDrawExchanges:
+    """The bulk draw against the per-attempt calls, values and full state."""
+
+    @staticmethod
+    def compare(n, d, count, seed, bit_generator) -> None:
+        rng, oracle_rng = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+        # An odd number of 32-bit words leaves half of a 64-bit output buffered.
+        rng.integers(0, 2**32, size=seed % 2, dtype=np.uint32)
+        oracle_rng.integers(0, 2**32, size=seed % 2, dtype=np.uint32)
+        axes, pairs = _draw_exchanges(rng, n, d, count)
+        expected_axes, expected_pairs = reference_draws(oracle_rng, n, d, count)
+        np.testing.assert_array_equal(axes, expected_axes)
+        np.testing.assert_array_equal(pairs, expected_pairs)
+        assert_same_state(rng, oracle_rng)
+
+    @pytest.mark.parametrize(
+        "n, d",
+        [
+            pytest.param(2, 3, id="n2-first-index-takes-no-word"),
+            pytest.param(7, 1, id="d1-axis-takes-no-word"),
+            pytest.param(2, 1, id="n2-d1"),
+        ],
+    )
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda gen: gen.__name__)
+    def test_edge_sizes(self, n, d, bit_generator):
+        for seed in range(4):
+            self.compare(n, d, 300, seed, bit_generator)
+
+    @pytest.mark.parametrize(
+        "n, d",
+        [
+            pytest.param(2**31 + 1, 3, id="huge-n"),
+            pytest.param(5, 2**31 + 1, id="huge-d"),
+            pytest.param(2**33 + 1, 2**33 + 1, id="64-bit-ranges"),
+        ],
+    )
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda gen: gen.__name__)
+    def test_rejected_words_are_redrawn_exactly(self, n, d, bit_generator):
+        # A range of 2**31 + 1 rejects about half of all 32-bit words, and a
+        # range above 2**32 is drawn from 64-bit words.
+        for seed in range(8):
+            self.compare(n, d, 1 + seed % 2, seed, bit_generator)
 
 
 class TestLatinHypercube:
