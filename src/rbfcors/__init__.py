@@ -12,6 +12,8 @@ from .cors import (
     Proposal,
     ProposalSettings,
     RadiusSchedule,
+    draw_batch,
+    draw_candidates,
     exclusion_radius,
     propose_batch,
     propose_point,
@@ -37,6 +39,7 @@ from .rbf import (
     compute_space_scaling,
     fit,
     refit_with_scaling,
+    scaling_cloud,
 )
 from .scaling import (
     BoundedDomain,
@@ -67,6 +70,8 @@ __all__ = [
     "builtin",
     "compute_space_scaling",
     "diagonal_lh",
+    "draw_batch",
+    "draw_candidates",
     "evaluate_batch",
     "exclusion_radius",
     "fit",
@@ -79,6 +84,7 @@ __all__ = [
     "propose_point",
     "refit_with_scaling",
     "run",
+    "scaling_cloud",
     "sphere",
     "spread",
     "unit_ball_volume",

@@ -41,7 +41,7 @@ from .cors import check_settings
 from .engine import DriverError, ObjectiveError, OptimizationConfig, RunError, run
 from .engine import log as engine_log
 from .lhs import diagonal_lh, improve_lh, spread
-from .rbf import SingularFitError, compute_space_scaling, fit, refit_with_scaling
+from .rbf import SingularFitError, compute_space_scaling, fit, refit_with_scaling, scaling_cloud
 from .scaling import BoundedDomain
 
 EXIT_OK = 0
@@ -422,7 +422,10 @@ def cmd_surface(args) -> None:
         raise ConfigError(f"resolution must be at least 2, got {args.resolution}")
     model = fit(points, raw_values)
     if args.scaled:
-        scaling = compute_space_scaling(model, rng=rng)
+        cloud = scaling_cloud(
+            rng.random((OptimizationConfig.cloud_size, d)), model.centers, model.scaling
+        )
+        scaling = compute_space_scaling(model, cloud, OptimizationConfig.best_fraction)
         model = refit_with_scaling(points, raw_values, scaling)
     axis = np.linspace(0.0, 1.0, args.resolution)
     first, second = np.meshgrid(axis, axis, indexing="ij")
@@ -459,7 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lhs = sub.add_parser("lhs", help="emit an improved Latin-hypercube design")
     p_lhs.add_argument("--n", type=int, required=True, help="number of points (>= 2)")
     p_lhs.add_argument("--d", type=int, required=True, help="dimension (>= 1)")
-    p_lhs.add_argument("--attempts", type=int, default=1000, help="swap attempts")
+    p_lhs.add_argument(
+        "--attempts", type=int, default=OptimizationConfig.lh_attempts, help="swap attempts"
+    )
     p_lhs.add_argument("--seed", type=int, default=None, help="RNG seed")
     p_lhs.add_argument("--out", default="lhs.csv", help="output CSV path")
     p_lhs.set_defaults(func=cmd_lhs)

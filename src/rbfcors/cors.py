@@ -176,6 +176,8 @@ def draw_candidates(
 ) -> CandidateDraw:
     """Draw one proposal's candidates: the uniform block, then the Gaussian
     block, and measure the uniform ones against the (n, d) centers."""
+    if radius < 0.0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
     centers = np.asarray(centers, dtype=float)
     dim = centers.shape[1]
     uniform = rng.random((settings.uniform_per_dim * dim, dim))
@@ -184,6 +186,40 @@ def draw_candidates(
         offsets = rng.normal(0.0, max(radius, 0.05), (settings.local_candidates, dim))
     nearest = _min_center_distance(uniform, centers)
     return CandidateDraw(centers, radius, settings, local, uniform, offsets, nearest)
+
+
+def draw_batch(
+    centers,
+    schedule: RadiusSchedule,
+    start_iter: int,
+    batch: int,
+    rng: np.random.Generator,
+    settings: ProposalSettings,
+    local: bool = True,
+) -> list[CandidateDraw]:
+    """Draw the candidates of `batch` proposals that consume consecutive
+    iteration indices of the schedule, starting at start_iter.
+
+    Slot j's radius counts the j proposals before it in the batch as
+    centers, so points within one batch keep their mutual distance even
+    though none has been evaluated yet.  Every slot is drawn and measured
+    against the same (n, d) centers; propose_batch measures the pending
+    points of the batch as they come.
+    """
+    if batch < 1:
+        raise ValueError(f"batch must be at least 1, got {batch}")
+    if start_iter + batch - 1 > schedule.total_iters:
+        raise ValueError(
+            f"batch of {batch} starting at iteration {start_iter} exceeds "
+            f"the schedule budget of {schedule.total_iters}"
+        )
+    centers = np.asarray(centers, dtype=float)
+    return [
+        draw_candidates(
+            centers, schedule.radius(start_iter + j, len(centers) + j), rng, settings, local
+        )
+        for j in range(batch)
+    ]
 
 
 def _pattern_search(
@@ -249,56 +285,32 @@ def _pattern_search(
     return x
 
 
-def propose_point(
-    model: RbfModel,
-    centers,
-    radius: float,
-    rng: np.random.Generator,
-    settings: ProposalSettings | None = None,
-    best_point=None,
-    *,
-    draw: CandidateDraw | None = None,
-) -> Proposal:
-    """Pick the next sample: minimize the surface at least `radius` away from
-    every center.
+def propose_point(model: RbfModel, draw: CandidateDraw, best_point, pending) -> Proposal:
+    """Pick the next sample: minimize the surface at least draw.radius away
+    from every center.
 
-    The candidates are uniform points plus Gaussian perturbations of
-    best_point, if given, clipped into the closed unit cube.  Candidates
-    violating the distance constraint are dropped; the best survivor is
-    refined by pattern search.  If no candidate is feasible (radius too
-    large for the remaining free space), the candidate farthest from the
-    centers is returned instead and the fallback flag is set, which keeps
-    the evaluation budget moving.
-
-    draw, if given, is the draw_candidates result for this radius and these
-    settings, drawn from rng beforehand against the leading rows of
-    centers; rng is then not used.  The uniform candidates are measured
-    only against the rows that came after.
+    The centers are draw.centers followed by the (m, d) pending points, which
+    the draw's uniform candidates have not yet been measured against.  The
+    candidates are the draw's uniform points plus, for a local draw, its
+    Gaussian offsets around best_point, clipped into the closed unit cube;
+    best_point is given exactly when the draw is local.  Candidates violating
+    the distance constraint are dropped; the best survivor is refined by
+    pattern search.  If no candidate is feasible (radius too large for the
+    remaining free space), the candidate farthest from the centers is
+    returned instead and the fallback flag is set, which keeps the
+    evaluation budget moving.
     """
-    if radius < 0.0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-    if settings is None:
-        settings = ProposalSettings()
-    centers = np.asarray(centers, dtype=float).reshape(-1, model.dim)
-    if best_point is not None:
-        best_point = np.asarray(best_point, dtype=float)
-    if draw is None:
-        draw = draw_candidates(centers, radius, rng, settings, best_point is not None)
-    elif not (
-        draw.radius == radius
-        and draw.settings == settings
-        and draw.local == (best_point is not None)
-        and np.array_equal(centers[: len(draw.centers)], draw.centers)
-    ):
-        raise ValueError(
-            "candidate draw does not match this proposal's centers, radius and settings"
-        )
+    if draw.local != (best_point is not None):
+        raise ValueError("best_point must be given exactly when the draw is local")
+    radius = draw.radius
+    pending = np.asarray(pending, dtype=float).reshape(-1, model.dim)
+    centers = np.vstack([draw.centers, pending])
 
     cands, dmin = draw.uniform, draw.nearest
-    if len(draw.centers) < len(centers):
-        dmin = np.minimum(dmin, _min_center_distance(cands, centers[len(draw.centers) :]))
+    if len(pending):
+        dmin = np.minimum(dmin, _min_center_distance(cands, pending))
     if draw.offsets is not None:
-        local = np.clip(best_point + draw.offsets, 0.0, 1.0)
+        local = np.clip(np.asarray(best_point, dtype=float) + draw.offsets, 0.0, 1.0)
         cands = np.vstack([cands, local])
         dmin = np.concatenate([dmin, _min_center_distance(local, centers)])
     feasible = _feasible(dmin, radius)
@@ -311,47 +323,17 @@ def propose_point(
     survivors = cands[feasible]
     values = model.evaluate_many(survivors)
     best = int(np.argmin(values))
-    x = _pattern_search(model, survivors[best], float(values[best]), centers, radius, settings)
+    x = _pattern_search(model, survivors[best], float(values[best]), centers, radius, draw.settings)
     return Proposal(x=x, radius=radius, fallback=False, surrogate_value=model.evaluate(x))
 
 
-def propose_batch(
-    model: RbfModel,
-    centers,
-    schedule: RadiusSchedule,
-    start_iter: int,
-    batch: int,
-    rng: np.random.Generator,
-    settings: ProposalSettings | None = None,
-    best_point=None,
-    *,
-    draws: list[CandidateDraw] | None = None,
-) -> list[Proposal]:
-    """Propose `batch` points from one fitted model, consuming consecutive
-    iteration indices of the schedule.
+def propose_batch(model: RbfModel, draws: list[CandidateDraw], best_point) -> list[Proposal]:
+    """Propose one point per draw_batch draw from one fitted model.
 
-    Each pending proposal immediately joins the constraint centers and the
-    center count used for the next radius, so points within one batch keep
-    their mutual distance even though none has been evaluated yet.
-
-    draws, if given, holds each proposal's draw_candidates result, drawn
-    from rng beforehand against centers (see propose_point).
+    Each proposal joins the pending points of the proposals after it, so
+    they keep their distance from it as from an evaluated center.
     """
-    if batch < 1:
-        raise ValueError(f"batch must be at least 1, got {batch}")
-    if draws is not None and len(draws) != batch:
-        raise ValueError(f"expected {batch} candidate draws, got {len(draws)}")
-    if start_iter + batch - 1 > schedule.total_iters:
-        raise ValueError(
-            f"batch of {batch} starting at iteration {start_iter} exceeds "
-            f"the schedule budget of {schedule.total_iters}"
-        )
-    working = np.asarray(centers, dtype=float).reshape(-1, model.dim)
     proposals: list[Proposal] = []
-    for j in range(batch):
-        radius = schedule.radius(start_iter + j, working.shape[0])
-        draw = None if draws is None else draws[j]
-        prop = propose_point(model, working, radius, rng, settings, best_point, draw=draw)
-        proposals.append(prop)
-        working = np.vstack([working, prop.x[None, :]])
+    for draw in draws:
+        proposals.append(propose_point(model, draw, best_point, [p.x for p in proposals]))
     return proposals

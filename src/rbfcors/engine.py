@@ -26,7 +26,7 @@ from .cors import (
     ProposalSettings,
     RadiusSchedule,
     check_settings,
-    draw_candidates,
+    draw_batch,
     propose_batch,
 )
 from .lhs import diagonal_lh, improve_lh
@@ -261,10 +261,7 @@ def _look_ahead(rng, config: OptimizationConfig, schedule: RadiusSchedule, cente
     dim = centers.shape[1]
     points = rng.random((config.cloud_size, dim)) if config.use_space_rescaling else None
     k = min(config.effective_batch(), config.n_iter - iteration + 1)
-    draws = []
-    for j in range(k):
-        radius = schedule.radius(iteration + j, len(centers) + j)
-        draws.append(draw_candidates(centers, radius, rng, config.proposal, local=True))
+    draws = draw_batch(centers, schedule, iteration, k, rng, config.proposal)
     if points is None:
         return None, draws
     # The cloud is ranked by the plain fit, whose scaling is the identity.  Its
@@ -365,7 +362,6 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
 
         batch = config.effective_batch()
         for iteration in range(1, config.n_iter + 1, batch):
-            k = min(batch, config.n_iter - iteration + 1)
             centers = np.array([rec.x_unit for rec in history])
             scaled_values = np.array([rec.f_scaled for rec in history])
             try:
@@ -373,36 +369,24 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
                     raise ahead.error
                 model = fit(centers, scaled_values)
                 if config.use_space_rescaling:
-                    scaling = compute_space_scaling(
-                        model, config.cloud_size, config.best_fraction, rng, cloud=ahead.cloud
-                    )
+                    scaling = compute_space_scaling(model, ahead.cloud, config.best_fraction)
                     model = refit_with_scaling(centers, scaled_values, scaling)
-                incumbent = best_so_far(history)
-                proposals = propose_batch(
-                    model,
-                    centers,
-                    schedule,
-                    iteration,
-                    k,
-                    rng,
-                    config.proposal,
-                    incumbent.x_unit,
-                    draws=ahead.draws,
-                )
+                proposals = propose_batch(model, ahead.draws, best_so_far(history).x_unit)
             except Exception as exc:
                 # Any failure here is the driver's; the history is still worth keeping.
                 raise DriverError(
                     f"driver failed at iteration {iteration}: {exc}", history
                 ) from exc
             units = [p.x for p in proposals]
+            following = iteration + len(units)
             ahead = None
-            if iteration + k <= config.n_iter:
+            if following <= config.n_iter:
                 pending = np.vstack([centers, units])
-                ahead = _Lookahead(rng, config, schedule, pending, iteration + k)
+                ahead = _Lookahead(rng, config, schedule, pending, following)
             _evaluate_into(
                 history, objective, domain, config, pool, units, proposals, rescaler, ahead
             )
-            last = iteration + k - 1
+            last = following - 1
             rho, best = schedule.density(last), best_so_far(history).f_raw
             log.info(
                 "iter=%d rho=%.6f r=%.6f best=%.6g", last, rho, proposals[-1].radius, best

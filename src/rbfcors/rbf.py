@@ -213,7 +213,9 @@ def fit(points, values, scaling: np.ndarray | None = None) -> RbfModel:
     if n < d + 2:
         raise ValueError(f"need at least d + 2 = {d + 2} points to fit in dimension {d}, got {n}")
     if float(pdist(pts).min()) < MIN_CENTER_SEPARATION:
-        raise SingularFitError("duplicate centers: minimum pairwise distance below 1e-10")
+        raise SingularFitError(
+            f"duplicate centers: minimum pairwise distance below {MIN_CENTER_SEPARATION:g}"
+        )
 
     T = np.eye(d) if scaling is None else np.asarray(scaling, dtype=float)
     if T.shape != (d, d):
@@ -393,44 +395,31 @@ def _solve_augmented(system: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
 
 
 def compute_space_scaling(
-    model: RbfModel,
-    cloud_size: int = 10000,
-    best_fraction: float = 0.05,
-    rng: np.random.Generator | None = None,
-    *,
-    cloud: ScalingCloud | None = None,
+    model: RbfModel, cloud: ScalingCloud, best_fraction: float
 ) -> SpaceScaling:
     """Derive the scaling matrix T from the low-value cloud of the model.
 
-    Draws cloud_size uniform points in the unit cube, keeps the best_fraction
-    with the lowest surface values, and builds T from the eigensystem of the
-    kept cloud's covariance (unbiased normalization).  A cloud that collapses
-    to a single point yields the identity matrix with the degenerate flag set.
-
-    cloud, if given, is the scaling_cloud of points drawn from rng
-    beforehand, for this model's centers and scaling; rng is then not used.
-    Its kernel is released once the cloud is ranked, so a cloud serves one
-    scaling.
+    Ranks the uniform points of the cloud, a scaling_cloud for this model's
+    centers and scaling, by their surface values, keeps the best_fraction
+    with the lowest, and builds T from the eigensystem of the kept cloud's
+    covariance (unbiased normalization).  A cloud that collapses to a single
+    point yields the identity matrix with the degenerate flag set.  The
+    cloud's kernel is released once the cloud is ranked, so a cloud serves
+    one scaling.
     """
-    if cloud_size < 100:
-        raise ValueError(f"cloud_size must be at least 100, got {cloud_size}")
     if not 0.0 < best_fraction <= 0.5:
         raise ValueError(f"best_fraction must be in (0, 0.5], got {best_fraction}")
-    if cloud is None:
-        rng = np.random.default_rng() if rng is None else rng
-        cloud = scaling_cloud(rng.random((cloud_size, model.dim)), model.centers, model.scaling)
-    elif not (
+    if not (
         cloud.kernel is not None
-        and cloud.points.shape[0] == cloud_size
         and np.array_equal(cloud.centers, model.centers)
         and np.array_equal(cloud.scaling, model.scaling)
     ):
-        raise ValueError("cloud was not drawn for this model's centers, scaling and cloud_size")
+        raise ValueError("cloud was not drawn for this model's centers and scaling")
 
     d = model.dim
     surface = model.evaluate_many(cloud.points, cloud.kernel)
     cloud.kernel = None
-    keep = max(1, math.ceil(cloud_size * best_fraction))
+    keep = max(1, math.ceil(len(cloud.points) * best_fraction))
     kept = cloud.points[np.argpartition(surface, keep - 1)[:keep]]
 
     identity = SpaceScaling(

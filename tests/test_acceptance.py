@@ -18,7 +18,7 @@ from rbfcors.cli import main
 from rbfcors.cors import RadiusSchedule, exclusion_radius
 from rbfcors.engine import OptimizationConfig, run
 from rbfcors.lhs import diagonal_lh, improve_lh, spread
-from rbfcors.rbf import compute_space_scaling, fit, refit_with_scaling
+from rbfcors.rbf import compute_space_scaling, fit, refit_with_scaling, scaling_cloud
 from rbfcors.scaling import BoundedDomain
 
 
@@ -207,9 +207,8 @@ def test_acceptance_5_space_rescaling_improves_fit():
         points = design.unit_points()
         values = np.asarray(valley(points[:, 0], points[:, 1]))
         plain = fit(points, values)
-        rescaled = refit_with_scaling(
-            points, values, compute_space_scaling(plain, rng=rng)
-        )
+        cloud = scaling_cloud(rng.random((10000, 2)), plain.centers, plain.scaling)
+        rescaled = refit_with_scaling(points, values, compute_space_scaling(plain, cloud, 0.05))
         rmse_plain = float(np.sqrt(np.mean((plain.evaluate_many(grid) - truth) ** 2)))
         rmse_rescaled = float(
             np.sqrt(np.mean((rescaled.evaluate_many(grid) - truth) ** 2))

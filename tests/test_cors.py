@@ -16,6 +16,7 @@ from rbfcors.cors import (
     _feasible,
     _min_center_distance,
     _pattern_search,
+    draw_batch,
     draw_candidates,
     exclusion_radius,
     propose_batch,
@@ -131,7 +132,8 @@ class TestProposalSettings:
             uniform_per_dim=1, local_candidates=0, pattern_steps=0, min_step=0.05
         )
         model, points = sphere_model(np.random.default_rng(3))
-        prop = propose_point(model, points, 0.0, np.random.default_rng(4), settings)
+        draw = draw_candidates(points, 0.0, np.random.default_rng(4), settings, False)
+        prop = propose_point(model, draw, None, ())
         assert prop.x.shape == (2,)
 
 
@@ -144,7 +146,8 @@ def sphere_model(rng, n_points=25):
 class TestProposePoint:
     def test_unconstrained_tracks_candidate_minimum(self):
         model, points = sphere_model(np.random.default_rng(0))
-        prop = propose_point(model, points, 0.0, np.random.default_rng(42))
+        draw = draw_candidates(points, 0.0, np.random.default_rng(42), ProposalSettings(), False)
+        prop = propose_point(model, draw, None, ())
         assert not prop.fallback
 
         rng = np.random.default_rng(42)
@@ -156,7 +159,8 @@ class TestProposePoint:
     def test_never_beaten_by_any_feasible_candidate(self):
         model, points = sphere_model(np.random.default_rng(1))
         radius = 0.2
-        prop = propose_point(model, points, radius, np.random.default_rng(5))
+        draw = draw_candidates(points, radius, np.random.default_rng(5), ProposalSettings(), False)
+        prop = propose_point(model, draw, None, ())
         assert not prop.fallback
 
         rng = np.random.default_rng(5)
@@ -168,14 +172,16 @@ class TestProposePoint:
     def test_respects_distance_constraint(self):
         model, points = sphere_model(np.random.default_rng(2))
         centers = np.array([[0.5, 0.5]])
-        prop = propose_point(model, centers, 0.45, np.random.default_rng(3))
+        draw = draw_candidates(centers, 0.45, np.random.default_rng(3), ProposalSettings(), False)
+        prop = propose_point(model, draw, None, ())
         assert not prop.fallback
         assert float(cdist(prop.x[None, :], centers).min()) >= 0.45
         assert model.evaluate(prop.x) == pytest.approx(prop.surrogate_value)
 
     def test_infeasible_radius_triggers_fallback(self):
         model, points = sphere_model(np.random.default_rng(3))
-        prop = propose_point(model, points, 2.0, np.random.default_rng(8))
+        draw = draw_candidates(points, 2.0, np.random.default_rng(8), ProposalSettings(), False)
+        prop = propose_point(model, draw, None, ())
         assert prop.fallback
 
         rng = np.random.default_rng(8)
@@ -186,13 +192,9 @@ class TestProposePoint:
     def test_stays_inside_unit_cube(self):
         model, points = sphere_model(np.random.default_rng(4))
         for seed in range(5):
-            prop = propose_point(
-                model,
-                points,
-                0.1,
-                np.random.default_rng(seed),
-                best_point=np.array([0.98, 0.01]),
-            )
+            rng = np.random.default_rng(seed)
+            draw = draw_candidates(points, 0.1, rng, ProposalSettings(), True)
+            prop = propose_point(model, draw, np.array([0.98, 0.01]), ())
             assert np.all(prop.x >= 0.0) and np.all(prop.x <= 1.0)
 
     def test_local_candidates_follow_incumbent(self):
@@ -205,9 +207,18 @@ class TestProposePoint:
         assert float(np.median(cdist(local, best[None, :]))) < 0.15
 
     def test_rejects_negative_radius(self):
-        model, points = sphere_model(np.random.default_rng(5))
+        _, points = sphere_model(np.random.default_rng(5))
         with pytest.raises(ValueError):
-            propose_point(model, points, -0.1, np.random.default_rng(0))
+            draw_candidates(points, -0.1, np.random.default_rng(0), ProposalSettings(), False)
+
+    def test_best_point_given_exactly_for_a_local_draw(self):
+        model, points = sphere_model(np.random.default_rng(6))
+        local = draw_candidates(points, 0.1, np.random.default_rng(0), ProposalSettings(), True)
+        with pytest.raises(ValueError, match="best_point"):
+            propose_point(model, local, None, ())
+        plain = draw_candidates(points, 0.1, np.random.default_rng(0), ProposalSettings(), False)
+        with pytest.raises(ValueError, match="best_point"):
+            propose_point(model, plain, points[0], ())
 
 
 class TestMinCenterDistance:
@@ -336,13 +347,15 @@ class TestPatternSearch:
 class TestSurrogateValue:
     def test_is_the_one_point_value_at_the_proposal(self):
         model, points = sphere_model(np.random.default_rng(11))
-        prop = propose_point(model, points, 0.05, np.random.default_rng(12))
+        draw = draw_candidates(points, 0.05, np.random.default_rng(12), ProposalSettings(), False)
+        prop = propose_point(model, draw, None, ())
         assert not prop.fallback
         assert prop.surrogate_value == model.evaluate(prop.x)
 
     def test_is_the_one_point_value_on_the_fallback(self):
         model, points = sphere_model(np.random.default_rng(13))
-        prop = propose_point(model, points, 2.0, np.random.default_rng(14))
+        draw = draw_candidates(points, 2.0, np.random.default_rng(14), ProposalSettings(), False)
+        prop = propose_point(model, draw, None, ())
         assert prop.fallback
         assert prop.surrogate_value == model.evaluate(prop.x)
 
@@ -353,6 +366,12 @@ class TestProposeBatch:
             initial_density=0.75, decay_exponent=1.0, total_iters=10, dim=2
         )
 
+    def propose(self, model, centers, sched, start_iter, batch, seed):
+        """The batch the composed calls propose without local candidates."""
+        rng = np.random.default_rng(seed)
+        draws = draw_batch(centers, sched, start_iter, batch, rng, ProposalSettings(), False)
+        return propose_batch(model, draws, None)
+
     def test_single_proposal_reduces_to_propose_point(self):
         # Serial case: a one-element batch takes its radius from the live
         # center count (22 at iteration 3), so it equals a direct proposal.
@@ -360,17 +379,18 @@ class TestProposeBatch:
         model, _ = sphere_model(rng, n_points=20)
         centers = rng.random((22, 2))
         sched = self.schedule()
-        batch = propose_batch(model, centers, sched, 3, 1, np.random.default_rng(9))
-        solo = propose_point(
-            model, centers, sched.radius(3, 22), np.random.default_rng(9)
+        batch = self.propose(model, centers, sched, 3, 1, 9)
+        draw = draw_candidates(
+            centers, sched.radius(3, 22), np.random.default_rng(9), ProposalSettings(), False
         )
+        solo = propose_point(model, draw, None, ())
         np.testing.assert_array_equal(batch[0].x, solo.x)
         assert batch[0].radius == sched.radius(3, 22)
 
     def test_pending_points_keep_their_distance(self):
         model, points = sphere_model(np.random.default_rng(7), n_points=20)
         sched = self.schedule()
-        batch = propose_batch(model, points, sched, 1, 2, np.random.default_rng(1))
+        batch = self.propose(model, points, sched, 1, 2, 1)
         assert len(batch) == 2
         if not batch[1].fallback:
             gap = float(np.linalg.norm(batch[0].x - batch[1].x))
@@ -379,19 +399,19 @@ class TestProposeBatch:
     def test_pending_points_enter_center_count(self):
         model, points = sphere_model(np.random.default_rng(8), n_points=20)
         sched = self.schedule()
-        batch = propose_batch(model, points, sched, 1, 3, np.random.default_rng(2))
+        batch = self.propose(model, points, sched, 1, 3, 2)
         for j, prop in enumerate(batch):
             assert prop.radius == sched.radius(1 + j, 20 + j)
 
     def test_batch_cannot_overrun_schedule(self):
         model, points = sphere_model(np.random.default_rng(9), n_points=20)
         with pytest.raises(ValueError, match="budget"):
-            propose_batch(model, points, self.schedule(), 9, 3, np.random.default_rng(0))
+            self.propose(model, points, self.schedule(), 9, 3, 0)
 
     def test_same_seed_same_batch(self):
         model, points = sphere_model(np.random.default_rng(10), n_points=20)
         sched = self.schedule()
-        a = propose_batch(model, points, sched, 2, 3, np.random.default_rng(4))
-        b = propose_batch(model, points, sched, 2, 3, np.random.default_rng(4))
+        a = self.propose(model, points, sched, 2, 3, 4)
+        b = self.propose(model, points, sched, 2, 3, 4)
         for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa.x, pb.x)

@@ -356,6 +356,8 @@ class TestRun:
             OptimizationConfig(n_init=5, n_iter=2, workers=0).validate(2)
         with pytest.raises(ValueError, match="n_iter"):
             OptimizationConfig(n_init=5, n_iter=-1).validate(2)
+        with pytest.raises(ValueError, match="cloud_size"):
+            OptimizationConfig(n_init=5, n_iter=2, cloud_size=99)
 
     def test_negative_objective_aborts_with_partial_history(self):
         def sometimes_negative(x):
@@ -464,7 +466,7 @@ class TestRun:
         )
         result = run(lambda x: float(np.sum(x)), unit_domain(), cfg)
         points = np.array([rec.x_unit for rec in result.history])
-        assert pdist(points).min() >= 1e-10
+        assert pdist(points).min() >= rbf.MIN_CENTER_SEPARATION
 
     def test_radius_used_only_on_subsequent_stage(self):
         cfg = OptimizationConfig(n_init=6, n_iter=3, seed=12)
@@ -610,3 +612,47 @@ class TestLookahead:
             run(slow_sphere, unit_domain(), cfg)
         assert len(started) == 1
         assert finished == started
+
+
+class TestComposition:
+    def test_public_pieces_replay_the_first_two_surrogate_batches(self):
+        # The run's random stream, drawn by hand: the design's swaps, then per
+        # batch the rescaling cloud and the batch's candidates, all drawn
+        # before the values of the batch in flight are known.
+        from rbfcors import (
+            RadiusSchedule,
+            compute_space_scaling,
+            diagonal_lh,
+            draw_batch,
+            fit,
+            fit_rescaler,
+            improve_lh,
+            propose_batch,
+            refit_with_scaling,
+            scaling_cloud,
+        )
+
+        cfg = OptimizationConfig(n_init=6, n_iter=6, batch_size=2, workers=2, seed=22)
+        domain = BoundedDomain([-1.0, 0.0], [1.0, 4.0])
+        history = run(sphere_objective, domain, cfg).history
+
+        rng = np.random.default_rng(cfg.seed)
+        centers = improve_lh(diagonal_lh(cfg.n_init, 2), cfg.lh_attempts, rng).unit_points()
+        values = [sphere_objective(domain.from_unit(x)) for x in centers]
+        rescaler = fit_rescaler(values, cfg.keep_fraction)
+        schedule = RadiusSchedule(cfg.initial_density, cfg.decay_exponent, cfg.n_iter, 2)
+        for iteration in (1, 3):
+            cloud_points = rng.random((cfg.cloud_size, 2))
+            draws = draw_batch(centers, schedule, iteration, 2, rng, cfg.proposal)
+            scaled = [rescaler.rescale(v) for v in values]
+            model = fit(centers, scaled)
+            cloud = scaling_cloud(cloud_points, centers, np.eye(2))
+            scaling = compute_space_scaling(model, cloud, cfg.best_fraction)
+            model = refit_with_scaling(centers, scaled, scaling)
+            proposals = propose_batch(model, draws, centers[int(np.argmin(values))])
+
+            units = np.array([p.x for p in proposals])
+            expected = [rec.x_unit for rec in history[len(centers) : len(centers) + 2]]
+            np.testing.assert_array_equal(units, expected)
+            centers = np.vstack([centers, units])
+            values += [sphere_objective(domain.from_unit(x)) for x in units]

@@ -12,6 +12,7 @@ from scipy.spatial.distance import cdist, pdist
 
 from rbfcors.cors import ProposalSettings
 from rbfcors.engine import OptimizationConfig, run
+from rbfcors.rbf import MIN_CENTER_SEPARATION
 from rbfcors.scaling import BoundedDomain
 
 LOWER, UPPER = -1.0, 3.0
@@ -71,7 +72,7 @@ def test_every_point_lies_in_unit_cube(problem):
 @given(problems())
 def test_no_point_is_evaluated_twice(problem):
     points = np.array([rec.x_unit for rec in history_of(problem)])
-    assert pdist(points).min() >= 1e-10
+    assert pdist(points).min() >= MIN_CENTER_SEPARATION
 
 
 @PROPERTY_SETTINGS

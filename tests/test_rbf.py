@@ -20,6 +20,7 @@ from rbfcors.rbf import (
     compute_space_scaling,
     fit,
     refit_with_scaling,
+    scaling_cloud,
 )
 
 
@@ -357,6 +358,11 @@ class TestBlasThreadScope:
         assert len(missing) == 1 and missing[0].levelno == logging.DEBUG
 
 
+def cloud_for(model, cloud_size, rng):
+    """A scaling cloud of cloud_size points from rng for the model."""
+    return scaling_cloud(rng.random((cloud_size, model.dim)), model.centers, model.scaling)
+
+
 class TestSpaceScaling:
     def _slab_model(self):
         """Model whose surface is the plane x_1, so the best cloud points
@@ -367,7 +373,8 @@ class TestSpaceScaling:
 
     def test_whitens_kept_cloud(self):
         model, _ = self._slab_model()
-        scaling = compute_space_scaling(model, cloud_size=4000, rng=np.random.default_rng(9))
+        drawn = cloud_for(model, 4000, np.random.default_rng(9))
+        scaling = compute_space_scaling(model, drawn, 0.05)
 
         oracle_rng = np.random.default_rng(9)
         cloud = oracle_rng.random((4000, 2))
@@ -381,7 +388,8 @@ class TestSpaceScaling:
 
     def test_rows_scale_inverse_sqrt_eigenvalue(self):
         model, _ = self._slab_model()
-        scaling = compute_space_scaling(model, cloud_size=2000, rng=np.random.default_rng(10))
+        cloud = cloud_for(model, 2000, np.random.default_rng(10))
+        scaling = compute_space_scaling(model, cloud, 0.05)
         for row, eigval, eigvec in zip(
             scaling.matrix, scaling.eigenvalues, scaling.eigenvectors
         ):
@@ -389,9 +397,8 @@ class TestSpaceScaling:
 
     def test_single_kept_point_falls_back_to_identity(self):
         model, _ = self._slab_model()
-        scaling = compute_space_scaling(
-            model, cloud_size=100, best_fraction=0.005, rng=np.random.default_rng(0)
-        )
+        cloud = cloud_for(model, 100, np.random.default_rng(0))
+        scaling = compute_space_scaling(model, cloud, 0.005)
         assert scaling.degenerate
         np.testing.assert_array_equal(scaling.matrix, np.eye(2))
 
@@ -399,9 +406,8 @@ class TestSpaceScaling:
         model, _ = self._slab_model()
         # Two kept points give a rank-one covariance; the zero eigenvalue
         # must be floored instead of producing an infinite row.
-        scaling = compute_space_scaling(
-            model, cloud_size=100, best_fraction=0.02, rng=np.random.default_rng(0)
-        )
+        cloud = cloud_for(model, 100, np.random.default_rng(0))
+        scaling = compute_space_scaling(model, cloud, 0.02)
         assert not scaling.degenerate
         assert scaling.eigenvalues.min() >= 1e-8 * scaling.eigenvalues.max()
         assert np.all(np.isfinite(scaling.matrix))
@@ -411,7 +417,7 @@ class TestSpaceScaling:
         points = rng.random((18, 2))
         values = np.sin(points[:, 0] * 3) + points[:, 1] ** 2
         model = fit(points, values)
-        scaling = compute_space_scaling(model, rng=rng)
+        scaling = compute_space_scaling(model, cloud_for(model, 10000, rng), 0.05)
         refit = refit_with_scaling(points, values, scaling)
         np.testing.assert_allclose(refit.evaluate_many(points), values, atol=1e-6)
         np.testing.assert_array_equal(refit.scaling, scaling.matrix)
@@ -419,9 +425,17 @@ class TestSpaceScaling:
     def test_rejects_bad_parameters(self):
         model, _ = self._slab_model()
         with pytest.raises(ValueError):
-            compute_space_scaling(model, cloud_size=10)
-        with pytest.raises(ValueError):
-            compute_space_scaling(model, best_fraction=0.9)
+            compute_space_scaling(model, cloud_for(model, 100, np.random.default_rng(0)), 0.9)
+
+    def test_rejects_a_cloud_drawn_for_another_model(self):
+        model, rng = self._slab_model()
+        cloud = cloud_for(model, 100, rng)
+        other = fit(model.centers[1:], model.centers[1:, 0].copy())
+        with pytest.raises(ValueError, match="cloud"):
+            compute_space_scaling(other, cloud, 0.05)
+        compute_space_scaling(model, cloud, 0.05)
+        with pytest.raises(ValueError, match="cloud"):
+            compute_space_scaling(model, cloud, 0.05)
 
 
 class TestRbfModel:

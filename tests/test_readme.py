@@ -1,0 +1,34 @@
+"""Every README example that imports rbfcors runs as written."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+_BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
+_IMPORTS_RBFCORS = re.compile(r"^(from|import) rbfcors\b", re.MULTILINE)
+
+
+def readme_examples() -> list:
+    """One pytest.param(line, code) per python block that imports rbfcors;
+    line is the README line of the block's first line of code."""
+    text = README.read_text(encoding="utf-8")
+    examples = []
+    for match in _BLOCK.finditer(text):
+        if _IMPORTS_RBFCORS.search(match.group(1)):
+            line = text.count("\n", 0, match.start(1)) + 1
+            examples.append(pytest.param(line, match.group(1), id=f"line{line}"))
+    return examples
+
+
+def test_readme_has_examples():
+    assert readme_examples()
+
+
+@pytest.mark.parametrize("line, code", readme_examples())
+def test_readme_example_runs(line, code):
+    # Padding the code to its README line makes tracebacks point into the README.
+    exec(compile("\n" * (line - 1) + code, str(README), "exec"), {"__name__": "readme_example"})
