@@ -41,12 +41,7 @@ from .rbf import (
     refit_with_scaling,
     scaling_cloud,
 )
-from .scaling import (
-    BoundedDomain,
-    ObjectiveRescaler,
-    fit_rescaler,
-    maximization_wrapper,
-)
+from .scaling import BoundedDomain, ObjectiveRescaler, fit_rescaler
 
 __all__ = [
     "BatchEvaluationError",
@@ -78,7 +73,6 @@ __all__ = [
     "fit_rescaler",
     "grid_oracle",
     "improve_lh",
-    "maximization_wrapper",
     "multimodal",
     "propose_batch",
     "propose_point",

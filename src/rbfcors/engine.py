@@ -31,7 +31,7 @@ from .cors import (
 )
 from .lhs import diagonal_lh, improve_lh
 from .rbf import ScalingCloud, compute_space_scaling, fit, refit_with_scaling, scaling_cloud
-from .scaling import BoundedDomain, ObjectiveRescaler, fit_rescaler, maximization_wrapper
+from .scaling import BoundedDomain, ObjectiveRescaler, fit_rescaler
 
 log = logging.getLogger(__name__)
 
@@ -123,9 +123,9 @@ class EvaluationRecord:
 
     stage is "initial" for the space-filling design and "subsequent"
     afterwards.  value is what the objective returned; f_raw is the objective
-    as minimized internally, which is 1/(value+1) when maximizing; f_scaled is
-    its squashed value used for fitting.  radius_used is None for
-    initial-design points.
+    as minimized internally, which is -value when maximizing; f_scaled is its
+    rescaled value used for fitting.  radius_used is None for initial-design
+    points.
     """
 
     stage: str
@@ -219,15 +219,10 @@ def evaluate_batch(
 
 
 def best_so_far(history: list[EvaluationRecord]) -> EvaluationRecord:
-    """Record with the lowest f_raw.
-
-    Ties go to the largest returned value, then to the earliest evaluation.
-    The first rule only matters when maximizing, where 1/(value+1) rounds to
-    1.0 for every value below about 1.1e-16.
-    """
+    """Record with the lowest f_raw; ties go to the earliest evaluation."""
     if not history:
         raise ValueError("history is empty")
-    return min(history, key=lambda rec: (rec.f_raw, -rec.value, rec.index))
+    return min(history, key=lambda rec: (rec.f_raw, rec.index))
 
 
 class _Lookahead:
@@ -283,10 +278,11 @@ def _evaluate_into(
     """Evaluate unit points as one batch and append a record per value.
 
     Without proposals the points are the initial design, recorded unscaled
-    and without a radius.  pool and meanwhile are handed to evaluate_batch.
-    On failure, every call in the batch that returned a valid non-negative
-    value is recorded at its true index before ObjectiveError carries the
-    history out.
+    and without a radius.  f_raw is the returned value, negated when
+    maximizing.  pool and meanwhile are handed to evaluate_batch.  On
+    failure, every call in the batch that returned a finite value is
+    recorded at its true index before ObjectiveError carries the history
+    out.
     """
     originals = [domain.from_unit(x) for x in units]
     failure: BatchEvaluationError | None = None
@@ -296,13 +292,10 @@ def _evaluate_into(
         )
     except BatchEvaluationError as err:
         failure, values = err, err.completed
-    minimized = maximization_wrapper(float) if config.maximize else float
     start = len(history)
     for pos, value in sorted(values.items()):
-        if value < 0.0:
-            continue
         prop = None if proposals is None else proposals[pos]
-        f_raw = minimized(value)
+        f_raw = -value if config.maximize else value
         history.append(
             EvaluationRecord(
                 stage="initial" if prop is None else "subsequent",
@@ -318,22 +311,17 @@ def _evaluate_into(
         )
     if failure is not None:
         raise ObjectiveError(str(failure), history) from failure
-    negative = next((value for value in values.values() if value < 0.0), None)
-    if negative is not None:
-        raise ObjectiveError(
-            f"objective returned negative value {negative!r}; the value "
-            f"rescaling assumes non-negative objectives",
-            history,
-        )
 
 
 def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> OptimizationResult:
     """Run the full optimization and return the best point found.
 
     The objective receives points in original (bounded) coordinates and must
-    return a finite non-negative scalar.  Exactly n_init + n_iter evaluations
-    are spent, in one pool of config.workers threads that lives as long as
-    the run; each batch logs one INFO progress record to rbfcors.engine.
+    return a finite scalar; config.maximize maximizes it by minimizing its
+    negation.  Exactly n_init + n_iter evaluations are spent, in one pool of
+    config.workers threads that lives as long as the run; each batch logs one
+    INFO progress record to rbfcors.engine, whose best= is the returned value
+    at the best point so far.
     A failure after the initial design raises ObjectiveError or DriverError,
     either carrying the history so far.
     """
@@ -387,7 +375,7 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
                 history, objective, domain, config, pool, units, proposals, rescaler, ahead
             )
             last = following - 1
-            rho, best = schedule.density(last), best_so_far(history).f_raw
+            rho, best = schedule.density(last), best_so_far(history).value
             log.info(
                 "iter=%d rho=%.6f r=%.6f best=%.6g", last, rho, proposals[-1].radius, best
             )

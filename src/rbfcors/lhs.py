@@ -148,7 +148,7 @@ def _first_improving(coords: np.ndarray, moved: np.ndarray, others: np.ndarray) 
     return improving.index(True) if True in improving else -1
 
 
-def improve_lh(lh: LatinHypercube, attempts: int = 1000, rng: np.random.Generator | None = None) -> LatinHypercube:
+def improve_lh(lh: LatinHypercube, attempts: int, rng: np.random.Generator) -> LatinHypercube:
     """Refine a Latin hypercube by random plane exchanges.
 
     Each attempt picks a random axis and two random entries of that axis's
@@ -170,8 +170,6 @@ def improve_lh(lh: LatinHypercube, attempts: int = 1000, rng: np.random.Generato
     """
     if attempts < 0:
         raise ValueError(f"attempts must be non-negative, got {attempts}")
-    if rng is None:
-        rng = np.random.default_rng()
     if attempts == 0:
         return lh
 

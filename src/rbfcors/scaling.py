@@ -1,16 +1,16 @@
 """Variable and objective rescaling.
 
 Search happens in the unit cube: every variable range [a_i, b_i] is mapped
-linearly onto [0, 1], and raw objective values are squashed into [0, 1] with
-an outlier threshold so that extreme values cannot distort the response
-surface.
+linearly onto [0, 1].  Raw objective values, which may be any finite floats,
+are mapped linearly from an anchor to an outlier threshold, above which they
+clip, so that extreme values cannot distort the response surface.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -78,55 +78,49 @@ class BoundedDomain:
 
 @dataclass(frozen=True)
 class ObjectiveRescaler:
-    """Maps raw objective values into [0, 1] relative to a frozen threshold.
+    """Maps raw objective values linearly between a frozen anchor and threshold.
 
-    Values below the threshold map to value/threshold; values at or above it
-    clip to 1, cutting outliers.  When the calibration samples carried no
-    usable range (all equal, or threshold zero) the rescaler is degenerate:
-    everything at or below the threshold maps to 0, everything above to 1.
+    Values below the threshold map to (value - anchor) / (threshold - anchor);
+    values at or above it clip to 1, cutting outliers.  The anchor is
+    min(0, smallest calibration value), so the calibration values land in
+    [0, 1], and for non-negative objectives the map is value / threshold.
+    Later values below a negative anchor map below 0.  When the calibration
+    samples carried no usable range (all equal, or threshold equal to the
+    anchor) the rescaler is degenerate: everything at or below the threshold
+    maps to 0, everything above to 1.
     """
 
     threshold: float
     degenerate: bool = False
+    anchor: float = 0.0
 
     def rescale(self, value: float) -> float:
         value = float(value)
-        if value < 0.0:
-            raise ValueError(f"objective values must be non-negative, got {value}")
         if self.degenerate:
             return 0.0 if value <= self.threshold else 1.0
-        return value / self.threshold if value < self.threshold else 1.0
+        if value < self.threshold:
+            return (value - self.anchor) / (self.threshold - self.anchor)
+        return 1.0
 
 
-def fit_rescaler(raw_values: Sequence[float], keep_fraction: float = 0.75) -> ObjectiveRescaler:
+def fit_rescaler(raw_values: Sequence[float], keep_fraction: float) -> ObjectiveRescaler:
     """Calibrate an ObjectiveRescaler from the initial-stage raw values.
 
     The threshold is the ceil(keep_fraction * n)-th smallest raw value, so
     exactly that fraction of the calibration samples lands at or below it.
-    The threshold is intended to be computed once and kept frozen.
+    The anchor is min(0, smallest raw value).  The rescaler is intended to be
+    computed once and kept frozen.
     """
     values = np.asarray(raw_values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("need a non-empty vector of raw objective values")
-    if np.any(values < 0.0):
-        raise ValueError("objective values must be non-negative")
     if not np.all(np.isfinite(values)):
         raise ValueError("objective values must be finite")
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
     rank = math.ceil(keep_fraction * values.size)
     threshold = float(np.sort(values)[rank - 1])
-    degenerate = threshold == 0.0 or float(values.min()) == float(values.max())
-    return ObjectiveRescaler(threshold, degenerate)
-
-
-def maximization_wrapper(objective: Callable) -> Callable:
-    """Wrap a non-negative objective so that minimizing the wrapper maximizes it.
-
-    The wrapper returns 1 / (f(x) + 1), always in (0, 1] for f >= 0.
-    """
-
-    def wrapped(x):
-        return 1.0 / (float(objective(x)) + 1.0)
-
-    return wrapped
+    lowest = float(values.min())
+    anchor = min(0.0, lowest)
+    degenerate = threshold == anchor or lowest == float(values.max())
+    return ObjectiveRescaler(threshold, degenerate, anchor)

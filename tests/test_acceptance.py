@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from rbfcors.benchmarks import builtin, grid_oracle, multimodal, valley
+from rbfcors.benchmarks import builtin, grid_oracle, valley
 from rbfcors.cli import main
 from rbfcors.cors import RadiusSchedule, exclusion_radius
 from rbfcors.engine import OptimizationConfig, run
@@ -294,20 +294,36 @@ def test_acceptance_7_end_to_end_determinism(tmp_path):
     )
 
 
-def test_acceptance_8_maximization_wrapper():
-    """On a 101x101 grid of the multimodal function, argmax of f equals
-    argmin of 1/(f+1) node for node."""
-    axis = np.linspace(0.0, 1.0, 101)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    values = np.asarray(multimodal(gx.ravel(), gy.ravel()))
-    wrapped = 1.0 / (values + 1.0)
-    argmax_direct = int(np.argmax(values))
-    argmin_wrapped = int(np.argmin(wrapped))
-    ok = argmax_direct == argmin_wrapped
+def test_acceptance_8_maximize_by_negation():
+    """On the multimodal function, run(f, maximize=True) and run(-f) give the
+    same points, f_raw, f_scaled, radii and fallbacks byte for byte, and
+    best_f is f at best_x."""
+    obj = builtin("multimodal")
+    domain = BoundedDomain(obj.lower, obj.upper)
+    settings = dict(n_init=10, n_iter=20, batch_size=2, seed=11)
+    maximized = run(obj.evaluate, domain, OptimizationConfig(**settings, maximize=True))
+    negated = run(lambda x: -obj.evaluate(x), domain, OptimizationConfig(**settings))
+
+    def as_bytes(result):
+        return [
+            (
+                rec.x_unit.tobytes(),
+                rec.f_raw.hex(),
+                rec.f_scaled.hex(),
+                None if rec.radius_used is None else rec.radius_used.hex(),
+                rec.fallback,
+            )
+            for rec in result.history
+        ]
+
+    same = as_bytes(maximized) == as_bytes(negated)
+    best_is_f = maximized.best_f == obj.evaluate(maximized.best_x) == -negated.best_f
+    ok = same and best_is_f
     report(
         8,
-        "maximization wrapper",
+        "maximize by negation",
         ok,
-        f"argmax(f) node {argmax_direct} vs argmin(1/(f+1)) node "
-        f"{argmin_wrapped} on the 101x101 grid",
+        f"maximize=True vs minimizing -f: histories byte-identical: {same} "
+        f"({len(maximized.history)} records), best_f == f(best_x): {best_is_f} "
+        f"(best_f {maximized.best_f:.6f})",
     )

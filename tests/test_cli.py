@@ -67,14 +67,24 @@ class TestRunCommand:
     def test_progress_line_per_batch_on_stderr(self, tmp_path, capsys):
         line = re.compile(r"iter=\d+ rho=\d\.\d{6} r=\d\.\d{6} best=\S+")
         out = str(tmp_path / "hist.csv")
-        for n_iter, batch_size, batches in ((5, 1, 5), (4, 2, 2)):
-            cfg = write_config(tmp_path / "cfg.json", n_iter=n_iter, batch_size=batch_size)
+        for n_iter, batch_size, batches, maximize in (
+            (5, 1, 5, False),
+            (4, 2, 2, False),
+            (4, 2, 2, True),
+        ):
+            cfg = write_config(
+                tmp_path / "cfg.json", n_iter=n_iter, batch_size=batch_size, maximize=maximize
+            )
             assert main(["run", "--config", str(cfg), "--out", out]) == EXIT_OK
-            lines = capsys.readouterr().err.splitlines()
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
             # A handler left over from the first run would double these lines.
             assert len(lines) == batches
             assert all(line.fullmatch(text) for text in lines)
             assert lines[-1].startswith(f"iter={n_iter} ")
+            # best= is the best returned value, also under maximize.
+            best_f = float(captured.out.split("best_f=")[1])
+            assert lines[-1].endswith(f" best={best_f:.6g}")
 
     def test_driver_failure_exits_four_with_partial_history(
         self, tmp_path, capsys, monkeypatch

@@ -230,16 +230,6 @@ class TestBestSoFar:
         history = [record(0, 3.0), record(1, 1.0), record(2, 1.0)]
         assert best_so_far(history).index == 1
 
-    def test_wrapped_ties_break_to_largest_returned_value(self):
-        # Under maximize, 1/(value+1) rounds to 1.0 for every value below
-        # about 1.1e-16, so distinct returned values share one f_raw.
-        cfg = OptimizationConfig(n_init=6, n_iter=2, seed=16, maximize=True)
-        result = run(lambda x: 1e-17 * (1.0 + float(x[0])), unit_domain(), cfg)
-        assert len({rec.f_raw for rec in result.history}) == 1
-        largest = max(result.history, key=lambda rec: rec.value)
-        assert result.best_f == largest.value
-        np.testing.assert_array_equal(result.best_x, largest.x_original)
-
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
             best_so_far([])
@@ -359,14 +349,21 @@ class TestRun:
         with pytest.raises(ValueError, match="cloud_size"):
             OptimizationConfig(n_init=5, n_iter=2, cloud_size=99)
 
-    def test_negative_objective_aborts_with_partial_history(self):
-        def sometimes_negative(x):
-            return float(x[0]) - 0.5
+    @pytest.mark.parametrize("maximize", [False, True], ids=["minimize", "maximize"])
+    def test_negative_values_spend_the_full_budget(self, maximize):
+        def either_sign(x):
+            return sphere_objective(x) - 0.25
 
-        cfg = OptimizationConfig(n_init=6, n_iter=2, seed=9)
-        with pytest.raises(ObjectiveError) as excinfo:
-            run(sometimes_negative, unit_domain(), cfg)
-        assert isinstance(excinfo.value.history, list)
+        cfg = OptimizationConfig(n_init=6, n_iter=5, seed=9, maximize=maximize)
+        result = run(either_sign, unit_domain(), cfg)
+        assert [rec.index for rec in result.history] == list(range(11))
+        values = [rec.value for rec in result.history]
+        assert min(values) < 0.0 < max(values)
+        sign = -1.0 if maximize else 1.0
+        assert all(rec.f_raw == sign * rec.value for rec in result.history)
+        assert result.rescaler.anchor == min(rec.f_raw for rec in result.history[:6]) < 0.0
+        best = (max if maximize else min)(values)
+        assert result.best_f == best == either_sign(result.best_x)
 
     def test_initial_design_failure_keeps_returned_evaluations(self):
         lock = threading.Lock()
@@ -397,19 +394,24 @@ class TestRun:
             np.testing.assert_array_equal(rec.x_unit, design[rec.index].x_unit)
             assert rec.f_raw == design[rec.index].f_raw
 
-    def test_negative_value_keeps_rest_of_surrogate_batch(self):
-        calls = {"n": 0}
+    def test_failure_keeps_rest_of_surrogate_batch(self):
+        cfg = OptimizationConfig(n_init=6, n_iter=3, seed=15, batch_size=3, workers=3)
+        clean = run(sphere_objective, unit_domain(), cfg).history
+        failing, last = clean[7].x_original, clean[8].x_original
+        last_started = threading.Event()
 
-        def negative_on_eighth_call(x):
-            calls["n"] += 1
-            return -1.0 if calls["n"] == 8 else sphere_objective(x)
+        def fails_at_batch_position_one(x):
+            if np.array_equal(x, last):
+                last_started.set()
+            elif np.array_equal(x, failing):
+                assert last_started.wait(10), "position 2 never started"
+                raise RuntimeError("boom")
+            return sphere_objective(x)
 
-        cfg = OptimizationConfig(n_init=6, n_iter=3, seed=15, batch_size=3)
-        with pytest.raises(ObjectiveError, match="negative") as excinfo:
-            run(negative_on_eighth_call, unit_domain(), cfg)
+        with pytest.raises(ObjectiveError, match="boom") as excinfo:
+            run(fails_at_batch_position_one, unit_domain(), cfg)
         history = excinfo.value.history
         assert [rec.index for rec in history] == [0, 1, 2, 3, 4, 5, 6, 8]
-        clean = run(sphere_objective, unit_domain(), cfg).history
         for rec in history:
             assert rec.stage == clean[rec.index].stage
             np.testing.assert_array_equal(rec.x_unit, clean[rec.index].x_unit)
@@ -443,18 +445,13 @@ class TestRun:
         assert result.best_f > 0.8 * true_max
 
     def test_maximize_reports_returned_value(self):
-        # 1/(f+1) rounds to 1.0 for every value, so inverting it gives 0.
+        # best_f is the returned value, not the negation the engine minimized.
         def tiny(x):
             return 1e-17 * (1.0 + float(x[0]))
 
         cfg = OptimizationConfig(n_init=6, n_iter=2, seed=16, maximize=True)
         result = run(tiny, unit_domain(), cfg)
         assert result.best_f == tiny(result.best_x)
-
-    def test_maximize_rejects_negative_values(self):
-        cfg = OptimizationConfig(n_init=6, n_iter=2, seed=17, maximize=True)
-        with pytest.raises(ObjectiveError, match="negative"):
-            run(lambda x: -0.5 * float(x[0]), unit_domain(), cfg)
 
     @pytest.mark.parametrize("batch_size", [1, 4])
     @pytest.mark.parametrize("seed", range(5))

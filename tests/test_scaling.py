@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rbfcors.scaling import (
-    BoundedDomain,
-    fit_rescaler,
-    maximization_wrapper,
-)
+from rbfcors.scaling import BoundedDomain, fit_rescaler
 
 
 class TestBoundedDomain:
@@ -86,12 +82,32 @@ class TestFitRescaler:
         assert rescaler.rescale(0.0) == 0.0
         assert rescaler.rescale(5.0) == 1.0
 
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValueError):
-            fit_rescaler(np.array([1.0, -0.5]), 0.75)
-        rescaler = fit_rescaler(np.array([1.0, 2.0]), 0.75)
-        with pytest.raises(ValueError):
-            rescaler.rescale(-1.0)
+    def test_negative_minimum_becomes_the_anchor(self):
+        # ceil(0.75 * 4) = 3 -> threshold 3.0; the anchor is the minimum -2.0.
+        rescaler = fit_rescaler(np.array([3.0, -2.0, 1.0, 5.0]), 0.75)
+        assert rescaler.anchor == -2.0
+        assert rescaler.threshold == 3.0
+        assert not rescaler.degenerate
+        assert rescaler.rescale(-2.0) == 0.0
+        assert rescaler.rescale(0.5) == 0.5
+        assert rescaler.rescale(3.0) == 1.0
+        assert rescaler.rescale(-7.0) == -1.0
+
+    def test_non_negative_values_anchor_at_zero(self):
+        rng = np.random.default_rng(4)
+        values = rng.random(40) * 100
+        rescaler = fit_rescaler(values, 0.75)
+        assert rescaler.anchor == 0.0
+        t = rescaler.threshold
+        for v in [*values, *(rng.random(40) * t)]:
+            assert rescaler.rescale(v) == (v / t if v < t else 1.0)
+
+    def test_threshold_at_negative_anchor_degenerate(self):
+        rescaler = fit_rescaler(np.array([-1.0, -1.0, -1.0, 5.0]), 0.5)
+        assert rescaler.anchor == rescaler.threshold == -1.0
+        assert rescaler.degenerate
+        assert rescaler.rescale(-1.0) == 0.0
+        assert rescaler.rescale(5.0) == 1.0
 
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
@@ -106,18 +122,3 @@ class TestFitRescaler:
         scaled = [rescaler.rescale(v) for v in values]
         assert all(0.0 <= s <= 1.0 for s in scaled)
 
-
-class TestMaximizationWrapper:
-    def test_inverts_ordering(self):
-        wrapped = maximization_wrapper(lambda x: float(x[0]))
-        low = wrapped(np.array([0.0]))
-        high = wrapped(np.array([10.0]))
-        assert low == 1.0
-        assert high == pytest.approx(1.0 / 11.0)
-        assert high < low
-
-    def test_argmax_equals_argmin_of_wrapped(self):
-        rng = np.random.default_rng(1)
-        values = rng.random(100) * 9
-        wrapped = 1.0 / (values + 1.0)
-        assert int(np.argmax(values)) == int(np.argmin(wrapped))
