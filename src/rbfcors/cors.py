@@ -18,6 +18,10 @@ from scipy.spatial.distance import cdist
 
 from .rbf import MIN_CENTER_SEPARATION, RbfModel
 
+# Entries of the (centers, points) distance block that a nearest-center scan
+# reduces at a time: 512 KB, which stays in a 2 MB L2 while it is reduced.
+_SCAN_BLOCK = 65536
+
 
 def check_settings(settings, *rules) -> None:
     """Raise ValueError for the first (field, holds, requirement) rule that
@@ -116,6 +120,22 @@ class ProposalSettings:
             ("min_step", 0.0 < self.min_step <= self.initial_step, "in (0, initial_step]"),
         )
 
+    def _step_levels(self) -> list[float]:
+        """The pattern search's step lengths: initial_step, halved while the
+        half is at least min_step."""
+        levels = [self.initial_step]
+        while levels[-1] * 0.5 >= self.min_step:
+            levels.append(levels[-1] * 0.5)
+        return levels
+
+    def kernel_rows(self, dim: int) -> int:
+        """The most points one surface evaluation of a proposal scores in
+        dimension dim: a draw's candidates, or the trials of one
+        pattern-search poll, which are at most the rest of a sweep plus one
+        sweep per step level."""
+        poll = 2 * dim * (len(self._step_levels()) + 1)
+        return max(self.uniform_per_dim * dim + self.local_candidates, poll)
+
 
 @dataclass(frozen=True)
 class Proposal:
@@ -137,11 +157,18 @@ def _min_center_distance(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     centers) took 0.30 ms p50 this way against 0.37 ms with the points
     first on long-2d, 0.08 against 0.27 ms on tilt; pattern-search polls
     with no more points than centers (up to 39 against up to 255) took
-    13.5 us against 21.4 us with the centers first on long-2d.
+    13.5 us against 21.4 us with the centers first on long-2d.  A scan of
+    more points than centers is reduced a block of points at a time, so
+    its temporary stays within _SCAN_BLOCK entries.
     """
-    if len(points) > len(centers):
-        return cdist(centers, points).min(axis=0, initial=math.inf)
-    return cdist(points, centers).min(axis=1, initial=math.inf)
+    if len(points) <= len(centers):
+        return cdist(points, centers).min(axis=1, initial=math.inf)
+    nearest = np.empty(len(points))
+    step = max(1, _SCAN_BLOCK // max(1, len(centers)))
+    for start in range(0, len(points), step):
+        block = slice(start, start + step)
+        cdist(centers, points[block]).min(axis=0, initial=math.inf, out=nearest[block])
+    return nearest
 
 
 def _feasible(distances, radius: float):
@@ -229,6 +256,7 @@ def _pattern_search(
     centers: np.ndarray,
     radius: float,
     settings: ProposalSettings,
+    buf: np.ndarray | None = None,
 ) -> np.ndarray:
     """Coordinate-wise polish that only ever accepts strict improvements and
     never steps outside the cube or inside an exclusion ball.
@@ -247,12 +275,11 @@ def _pattern_search(
     is within rounding of the current one: a batched evaluation can differ
     from a one-row evaluation in the last bits.  The tests check the match
     against that loop on random models, and it held in every one of 930
-    pattern searches replayed from long-2d and tilt runs.
+    pattern searches replayed from long-2d and tilt runs.  Each poll's
+    kernel is built in buf when that is given.
     """
     width = 2 * x.size
-    levels = [settings.initial_step]
-    while levels[-1] * 0.5 >= settings.min_step:
-        levels.append(levels[-1] * 0.5)
+    levels = settings._step_levels()
     # Row level * width + position holds the sweep's move at that position:
     # +step, then -step, along each axis in turn, and zeros elsewhere, which
     # leave the other coordinates of x exactly as they are.
@@ -270,7 +297,7 @@ def _pattern_search(
         kept = np.flatnonzero(keep)
         if not len(kept):
             break
-        values = model.evaluate_many(trials[kept])
+        values = model.evaluate_many(trials[kept], buf=buf)
         better = np.flatnonzero(values < fx)
         if not len(better):
             break
@@ -285,7 +312,9 @@ def _pattern_search(
     return x
 
 
-def propose_point(model: RbfModel, draw: CandidateDraw, best_point, pending) -> Proposal:
+def propose_point(
+    model: RbfModel, draw: CandidateDraw, best_point, pending, buf: np.ndarray | None = None
+) -> Proposal:
     """Pick the next sample: minimize the surface at least draw.radius away
     from every center.
 
@@ -298,7 +327,10 @@ def propose_point(model: RbfModel, draw: CandidateDraw, best_point, pending) -> 
     pattern search.  If no candidate is feasible (radius too large for the
     remaining free space), the candidate farthest from the centers is
     returned instead and the fallback flag is set, which keeps the
-    evaluation budget moving.
+    evaluation budget moving.  The kernels of the survivors and of the
+    pattern-search polls are built in buf when that is given: a flat
+    workspace from rbf.kernel_workspace with room for
+    draw.settings.kernel_rows(d) rows against the model's centers.
     """
     if draw.local != (best_point is not None):
         raise ValueError("best_point must be given exactly when the draw is local")
@@ -321,19 +353,25 @@ def propose_point(model: RbfModel, draw: CandidateDraw, best_point, pending) -> 
         return Proposal(x=x, radius=radius, fallback=True, surrogate_value=model.evaluate(x))
 
     survivors = cands[feasible]
-    values = model.evaluate_many(survivors)
+    values = model.evaluate_many(survivors, buf=buf)
     best = int(np.argmin(values))
-    x = _pattern_search(model, survivors[best], float(values[best]), centers, radius, draw.settings)
+    x = _pattern_search(
+        model, survivors[best], float(values[best]), centers, radius, draw.settings, buf
+    )
     return Proposal(x=x, radius=radius, fallback=False, surrogate_value=model.evaluate(x))
 
 
-def propose_batch(model: RbfModel, draws: list[CandidateDraw], best_point) -> list[Proposal]:
-    """Propose one point per draw_batch draw from one fitted model.
+def propose_batch(
+    model: RbfModel, draws: list[CandidateDraw], best_point, buf: np.ndarray | None = None
+) -> list[Proposal]:
+    """Propose one point per draw_batch draw from one fitted model, each
+    building its kernels in buf when that is given.
 
     Each proposal joins the pending points of the proposals after it, so
     they keep their distance from it as from an evaluated center.
     """
     proposals: list[Proposal] = []
     for draw in draws:
-        proposals.append(propose_point(model, draw, best_point, [p.x for p in proposals]))
+        pending = [p.x for p in proposals]
+        proposals.append(propose_point(model, draw, best_point, pending, buf))
     return proposals

@@ -30,7 +30,14 @@ from .cors import (
     propose_batch,
 )
 from .lhs import diagonal_lh, improve_lh
-from .rbf import ScalingCloud, compute_space_scaling, fit, refit_with_scaling, scaling_cloud
+from .rbf import (
+    ScalingCloud,
+    compute_space_scaling,
+    fit,
+    kernel_workspace,
+    refit_with_scaling,
+    scaling_cloud,
+)
 from .scaling import BoundedDomain, ObjectiveRescaler, fit_rescaler
 
 log = logging.getLogger(__name__)
@@ -100,6 +107,11 @@ class OptimizationConfig:
             ("lh_attempts", self.lh_attempts >= 0, "non-negative"),
             ("cloud_size", self.cloud_size >= 100, "at least 100"),
             ("best_fraction", 0.0 < self.best_fraction <= 0.5, "in (0, 0.5]"),
+            (
+                "best_fraction",
+                math.ceil(self.cloud_size * self.best_fraction) >= 2,
+                f"large enough to keep 2 of the {self.cloud_size} cloud points",
+            ),
             ("workers", self.workers >= 1, "at least 1"),
             ("batch_size", self.batch_size is None or self.batch_size >= 1, "at least 1"),
             ("seed", self.seed is None or self.seed >= 0, "non-negative"),
@@ -235,11 +247,13 @@ class _Lookahead:
     with its kernel matrix, and each proposal's candidates with their
     distances to those centers, can be drawn while the objective runs, with
     the same results as drawn after it.  A failure is kept in error, to be
-    raised once the batch is recorded.
+    raised once the batch is recorded.  The cloud's kernel is built in the
+    run's workspace buf, which no proposal uses again until the cloud is
+    ranked.
     """
 
-    def __init__(self, rng, config, schedule, centers: np.ndarray, iteration: int):
-        self._work = (rng, config, schedule, centers, iteration)
+    def __init__(self, rng, config, schedule, centers: np.ndarray, iteration: int, buf):
+        self._work = (rng, config, schedule, centers, iteration, buf)
         self.cloud: ScalingCloud | None = None
         self.draws: list[CandidateDraw] | None = None
         self.error: Exception | None = None
@@ -251,8 +265,11 @@ class _Lookahead:
             self.error = exc
 
 
-def _look_ahead(rng, config: OptimizationConfig, schedule: RadiusSchedule, centers, iteration: int):
-    """(cloud, draws) of the batch starting at iteration, for these centers."""
+def _look_ahead(
+    rng, config: OptimizationConfig, schedule: RadiusSchedule, centers, iteration: int, buf
+):
+    """(cloud, draws) of the batch starting at iteration, for these centers;
+    the cloud's kernel is built in buf."""
     dim = centers.shape[1]
     points = rng.random((config.cloud_size, dim)) if config.use_space_rescaling else None
     k = min(config.effective_batch(), config.n_iter - iteration + 1)
@@ -260,8 +277,8 @@ def _look_ahead(rng, config: OptimizationConfig, schedule: RadiusSchedule, cente
     if points is None:
         return None, draws
     # The cloud is ranked by the plain fit, whose scaling is the identity.  Its
-    # kernel is built last, so it is never held beside a candidate scan.
-    return scaling_cloud(points, centers, np.eye(dim)), draws
+    # kernel is built last, so it fills buf only once the scans are done.
+    return scaling_cloud(points, centers, np.eye(dim), buf), draws
 
 
 def _evaluate_into(
@@ -322,6 +339,12 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
     config.workers threads that lives as long as the run; each batch logs one
     INFO progress record to rbfcors.engine, whose best= is the returned value
     at the best point so far.
+    Every kernel of the cloud, the candidates and the pattern-search polls is
+    built in one workspace, allocated when the run starts and sized for the
+    largest of them against n_init + n_iter centers.  They come one after
+    another: the look-ahead builds the cloud's kernel, the scaling ranks and
+    releases it, then the proposals score their candidates, and the next
+    look-ahead starts after the last proposal.
     A failure after the initial design raises ObjectiveError or DriverError,
     either carrying the history so far.
     """
@@ -330,7 +353,7 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
 
     lh = improve_lh(diagonal_lh(config.n_init, domain.dim), config.lh_attempts, rng)
     units = lh.unit_points()
-    schedule = ahead = None
+    schedule = ahead = buf = None
     if config.n_iter > 0:
         schedule = RadiusSchedule(
             initial_density=config.initial_density,
@@ -338,7 +361,10 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
             total_iters=config.n_iter,
             dim=domain.dim,
         )
-        ahead = _Lookahead(rng, config, schedule, units, 1)
+        cloud = config.cloud_size if config.use_space_rescaling else 0
+        rows = max(cloud, config.proposal.kernel_rows(domain.dim))
+        buf = kernel_workspace(rows, config.n_init + config.n_iter)
+        ahead = _Lookahead(rng, config, schedule, units, 1, buf)
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         history: list[EvaluationRecord] = []
         _evaluate_into(history, objective, domain, config, pool, units, meanwhile=ahead)
@@ -359,7 +385,7 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
                 if config.use_space_rescaling:
                     scaling = compute_space_scaling(model, ahead.cloud, config.best_fraction)
                     model = refit_with_scaling(centers, scaled_values, scaling)
-                proposals = propose_batch(model, ahead.draws, best_so_far(history).x_unit)
+                proposals = propose_batch(model, ahead.draws, best_so_far(history).x_unit, buf)
             except Exception as exc:
                 # Any failure here is the driver's; the history is still worth keeping.
                 raise DriverError(
@@ -370,7 +396,7 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
             ahead = None
             if following <= config.n_iter:
                 pending = np.vstack([centers, units])
-                ahead = _Lookahead(rng, config, schedule, pending, following)
+                ahead = _Lookahead(rng, config, schedule, pending, following, buf)
             _evaluate_into(
                 history, objective, domain, config, pool, units, proposals, rescaler, ahead
             )

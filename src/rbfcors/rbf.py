@@ -22,6 +22,7 @@ import ctypes
 import glob
 import logging
 import math
+import mmap
 import os
 import threading
 from dataclasses import dataclass, field
@@ -91,20 +92,22 @@ class RbfModel:
     def dim(self) -> int:
         return self.centers.shape[1]
 
-    def evaluate_many(self, points, kernel: np.ndarray | None = None) -> np.ndarray:
+    def evaluate_many(
+        self, points, kernel: np.ndarray | None = None, buf: np.ndarray | None = None
+    ) -> np.ndarray:
         """Evaluate the surface at each row of an (m, d) array.
 
-        The (m, n) kernel matrix comes from cubic_kernel, unless the caller
-        computed it beforehand for these points, this model's centers and
-        its scaling and passes it as kernel.  One matrix-vector product over
-        the whole matrix then reduces it, which leaves that product to
-        threaded BLAS.
+        The (m, n) kernel matrix comes from cubic_kernel, built in buf when
+        that is given, unless the caller computed it beforehand for these
+        points, this model's centers and its scaling and passes it as
+        kernel.  One matrix-vector product over the whole matrix then
+        reduces it, which leaves that product to threaded BLAS.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"expected points of dimension {self.dim}, got {pts.shape[1]}")
         if kernel is None:
-            kernel = cubic_kernel(pts @ self.scaling.T, self._scaled_centers)
+            kernel = cubic_kernel(pts @ self.scaling.T, self._scaled_centers, buf)
         return kernel @ self.weights + pts @ self.tail_linear + self.tail_const
 
     def evaluate(self, x) -> float:
@@ -139,7 +142,8 @@ class ScalingCloud:
 
     Neither depends on objective values, so the optimizer draws the cloud
     while the batch before the fit is still being evaluated.  Ranking the
-    cloud sets kernel to None: at 256 centers the matrix takes 20 MB.
+    cloud sets kernel to None.  In a run the kernel is a view of the run's
+    workspace, which the candidate kernels reuse once the cloud is ranked.
     """
 
     points: np.ndarray
@@ -148,35 +152,66 @@ class ScalingCloud:
     kernel: np.ndarray | None
 
 
-def scaling_cloud(points: np.ndarray, centers, scaling) -> ScalingCloud:
+def scaling_cloud(
+    points: np.ndarray, centers, scaling, buf: np.ndarray | None = None
+) -> ScalingCloud:
     """The cloud of uniform points, drawn as rng.random((cloud_size, d)),
     with its kernel matrix against the (n, d) centers, distances measured
-    through scaling."""
+    through scaling; the matrix is built in buf when that is given."""
     centers = np.asarray(centers, dtype=float)
     scaling = np.asarray(scaling, dtype=float)
-    kernel = cubic_kernel(points @ scaling.T, centers @ scaling.T)
+    kernel = cubic_kernel(points @ scaling.T, centers @ scaling.T, buf)
     return ScalingCloud(points=points, centers=centers, scaling=scaling, kernel=kernel)
 
 
-def cubic_kernel(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def kernel_workspace(rows: int, centers: int) -> np.ndarray:
+    """A flat float64 buffer in which cubic_kernel can build any (m, n)
+    kernel with m <= rows and n <= centers, its block temporary included.
+
+    The buffer is an anonymous memory map of its own, outside malloc's
+    heap: its pages are faulted in once, as kernels first reach them, and
+    go back to the system when the buffer is dropped.  A heap buffer left a
+    hole when it was freed, which later small allocations split, so the
+    next buffer went past it: over the 49 runs of one long-2d benchmark
+    pass (glibc 2.36, 2 vCPU), peak RSS reached 113 MB that way against
+    96 MB with the map.
+    """
+    size = (rows + min(rows, _ROW_BLOCK)) * centers
+    return np.frombuffer(mmap.mmap(-1, max(size, 1) * 8), dtype=np.float64)[:size]
+
+
+def cubic_kernel(
+    points: np.ndarray, centers: np.ndarray, buf: np.ndarray | None = None
+) -> np.ndarray:
     """The (m, n) matrix of cubed distances between the rows of two arrays.
 
-    The matrix is allocated once and filled _ROW_BLOCK rows at a time: each
-    block of distances is cubed in place by multiplication while it is
-    still in cache, so the only temporary is one block.
+    The matrix is filled _ROW_BLOCK rows at a time: each block of distances
+    is cubed in place by multiplication while it is still in cache, with
+    one block-sized temporary for the squares.  The matrix is the view
+    buf[:m * n].reshape(m, n) of a flat float64 array from kernel_workspace,
+    and the temporary follows it.  Given buf, the caller must be done with
+    any kernel an earlier call built there; without it, a new one is
+    allocated.
     """
-    kernel = np.empty((points.shape[0], centers.shape[0]))
-    for start in range(0, points.shape[0], _ROW_BLOCK):
+    m, n = points.shape[0], centers.shape[0]
+    size, block = m * n, min(m, _ROW_BLOCK) * n
+    if buf is None:
+        buf = np.empty(size + block)
+    elif buf.size < size + block:
+        raise ValueError(f"workspace of {buf.size} entries cannot hold a {m}x{n} kernel")
+    kernel, squares = buf[:size].reshape(m, n), buf[size : size + block]
+    for start in range(0, m, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        _cube_in_place(cdist(points[rows], centers, out=kernel[rows]))
+        dists = cdist(points[rows], centers, out=kernel[rows])
+        _cube_in_place(dists, squares[: dists.size].reshape(dists.shape))
     return kernel
 
 
-def _cube_in_place(dists: np.ndarray) -> np.ndarray:
+def _cube_in_place(dists: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
     """The cubic kernel r * (r * r) of a distance array, written over it and
-    returned; the one temporary is the size of dists.  libm pow, behind
-    r ** 3, costs several times more."""
-    dists *= dists * dists
+    returned; the squares go to squares, or to a new temporary the size of
+    dists.  libm pow, behind r ** 3, costs several times more."""
+    dists *= np.multiply(dists, dists, out=squares)
     return dists
 
 

@@ -152,6 +152,7 @@ class TestRunCommand:
             ({"proposal": {"initial_step": 0}}, "initial_step"),
             ({"proposal": {"min_step": 0.5}}, "min_step"),
             ({"seed": -1}, "seed"),
+            ({"cloud_size": 100, "best_fraction": 0.005}, "best_fraction"),
         ],
     )
     def test_invalid_setting_rejected_with_line_number(

@@ -222,9 +222,13 @@ class TestProposePoint:
 
 
 class TestMinCenterDistance:
-    @pytest.mark.parametrize("n_points, n_centers", [(0, 3), (3, 0), (1, 40), (40, 1), (500, 7)])
+    @pytest.mark.parametrize(
+        "n_points, n_centers",
+        [(0, 3), (3, 0), (1, 40), (40, 1), (500, 7), (4001, 256), (70000, 1)],
+    )
     def test_matches_the_row_wise_scan_bitwise(self, n_points, n_centers):
-        # More points than centers puts the centers first in cdist.
+        # More points than centers puts the centers first in cdist, and the
+        # last two cases take several blocks of points, the last one short.
         rng = np.random.default_rng(n_points + n_centers)
         points, centers = rng.random((n_points, 3)), rng.random((n_centers, 3))
         expected = cdist(points, centers).min(axis=1, initial=math.inf)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import signal
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,6 +18,7 @@ from scipy.spatial.distance import pdist
 
 from rbfcors import cors, engine, rbf
 from rbfcors.benchmarks import builtin, multimodal
+from rbfcors.cli import history_to_csv
 from rbfcors.engine import (
     BatchEvaluationError,
     DriverError,
@@ -349,6 +352,13 @@ class TestRun:
         with pytest.raises(ValueError, match="cloud_size"):
             OptimizationConfig(n_init=5, n_iter=2, cloud_size=99)
 
+    def test_best_fraction_must_keep_two_cloud_points(self):
+        # ceil(100 * 0.005) = 1 point has no covariance, so every iteration
+        # would fall back to the identity scaling.
+        with pytest.raises(ValueError, match=r"^best_fraction must be large enough to keep 2 "):
+            OptimizationConfig(n_init=6, n_iter=2, cloud_size=100, best_fraction=0.005)
+        OptimizationConfig(n_init=6, n_iter=2, cloud_size=100, best_fraction=0.015)
+
     @pytest.mark.parametrize("maximize", [False, True], ids=["minimize", "maximize"])
     def test_negative_values_spend_the_full_budget(self, maximize):
         def either_sign(x):
@@ -500,8 +510,8 @@ class TestLookahead:
         finished = {"cloud": [], "uniform": []}
         cubic_kernel, min_center_distance = rbf.cubic_kernel, cors._min_center_distance
 
-        def timed_kernel(points, centers):
-            kernel = cubic_kernel(points, centers)
+        def timed_kernel(points, centers, buf=None):
+            kernel = cubic_kernel(points, centers, buf)
             if len(points) == cfg.cloud_size:
                 finished["cloud"].append(time.monotonic())
             return kernel
@@ -530,10 +540,10 @@ class TestLookahead:
         cfg = OptimizationConfig(n_init=6, n_iter=6, batch_size=2, workers=2, seed=19)
         look_ahead, fit = engine._look_ahead, engine.fit
 
-        def fails_for_iteration_3(rng, config, schedule, centers, iteration):
+        def fails_for_iteration_3(rng, config, schedule, centers, iteration, buf):
             if iteration == 3:
                 raise RuntimeError("boom")
-            return look_ahead(rng, config, schedule, centers, iteration)
+            return look_ahead(rng, config, schedule, centers, iteration, buf)
 
         monkeypatch.setattr(engine, "_look_ahead", fails_for_iteration_3)
         with pytest.raises(DriverError) as excinfo:
@@ -566,9 +576,9 @@ class TestLookahead:
         look_ahead = engine._look_ahead
         looked_ahead = []
 
-        def slow_look_ahead(rng, config, schedule, centers, iteration):
+        def slow_look_ahead(rng, config, schedule, centers, iteration, buf):
             looked_ahead.append(iteration)
-            result = look_ahead(rng, config, schedule, centers, iteration)
+            result = look_ahead(rng, config, schedule, centers, iteration, buf)
             time.sleep(0.05)
             return result
 
@@ -653,3 +663,85 @@ class TestComposition:
             np.testing.assert_array_equal(units, expected)
             centers = np.vstack([centers, units])
             values += [sphere_objective(domain.from_unit(x)) for x in units]
+
+
+def multimodal_history(**settings) -> str:
+    """The history CSV of a multimodal run with batch 2 on 2 workers."""
+    objective = builtin("multimodal")
+    domain = BoundedDomain(objective.lower, objective.upper)
+    cfg = OptimizationConfig(batch_size=2, workers=2, **settings)
+    return history_to_csv(run(objective.evaluate, domain, cfg).history, domain.dim)
+
+
+class TestWorkspace:
+    """Each run builds its large kernels in one buffer of its own; histories
+    depend neither on that nor on the OpenBLAS thread count, past the 60
+    centers the history pins stay below."""
+
+    def test_every_large_kernel_comes_from_the_runs_buffer(self, monkeypatch):
+        workspaces, kernels = [], []
+        kernel_workspace, cubic_kernel = engine.kernel_workspace, rbf.cubic_kernel
+
+        def recorded_workspace(rows, centers):
+            buf = kernel_workspace(rows, centers)
+            workspaces.append(buf)
+            return buf
+
+        def recorded_kernel(points, centers, buf=None):
+            kernel = cubic_kernel(points, centers, buf)
+            if kernel.nbytes >= 2**20:
+                shared = [np.shares_memory(kernel, w) for w in workspaces]
+                kernels.append((len(points), len(centers), shared))
+            return kernel
+
+        monkeypatch.setattr(engine, "kernel_workspace", recorded_workspace)
+        monkeypatch.setattr(rbf, "cubic_kernel", recorded_kernel)
+        cfg = OptimizationConfig(n_init=6, n_iter=40, batch_size=2, seed=23)
+        run(sphere_objective, unit_domain(), cfg)
+
+        assert len(workspaces) == 1
+        rows = max(cfg.cloud_size, cfg.proposal.kernel_rows(2))
+        assert workspaces[0].size == (rows + 256) * (cfg.n_init + cfg.n_iter)
+        assert all(shared == [True] for _, _, shared in kernels)
+        assert {m for m, _, _ in kernels} >= {cfg.cloud_size}
+        assert any(m < cfg.cloud_size for m, _, _ in kernels)
+        # The run drops its buffer when it returns.
+        workspace = weakref.ref(workspaces.pop())
+        gc.collect()
+        assert workspace() is None
+
+    def test_workspace_holds_the_largest_pattern_search_poll(self):
+        # Two uniform candidates and no local ones: a poll's trials, up to 2d
+        # per step level plus the rest of a sweep, outnumber the candidates.
+        settings = cors.ProposalSettings(uniform_per_dim=1, local_candidates=0)
+        assert settings.kernel_rows(2) == 2 * 2 * (len(settings._step_levels()) + 1)
+        cfg = OptimizationConfig(
+            n_init=6, n_iter=10, seed=24, use_space_rescaling=False, proposal=settings
+        )
+        assert len(run(sphere_objective, unit_domain(), cfg).history) == 16
+
+    def test_history_independent_of_blas_thread_count(self):
+        # 76 centers; the surface values of the cloud and candidate kernels
+        # come from one threaded matrix-vector product each.
+        settings = dict(n_init=6, n_iter=70, seed=0)
+        default = multimodal_history(**settings)
+        with rbf._one_blas_thread.held():
+            single = multimodal_history(**settings)
+        assert single == default
+
+    def test_concurrent_runs_reproduce_their_serial_histories(self):
+        seeds = (1, 2)
+        serial = {seed: multimodal_history(n_init=6, n_iter=60, seed=seed) for seed in seeds}
+        barrier = threading.Barrier(len(seeds))
+        concurrent = {}
+
+        def one_run(seed):
+            barrier.wait()
+            concurrent[seed] = multimodal_history(n_init=6, n_iter=60, seed=seed)
+
+        threads = [threading.Thread(target=one_run, args=(seed,)) for seed in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert concurrent == serial

@@ -18,7 +18,9 @@ from rbfcors.rbf import (
     RbfModel,
     SingularFitError,
     compute_space_scaling,
+    cubic_kernel,
     fit,
+    kernel_workspace,
     refit_with_scaling,
     scaling_cloud,
 )
@@ -505,6 +507,40 @@ class TestRbfModel:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * cloud.shape[0] * n_centers * 8
+
+    def test_kernel_in_a_workspace_matches_an_allocated_one_bitwise(self):
+        rng = np.random.default_rng(19)
+        centers = rng.random((30, 3))
+        buf = kernel_workspace(600, 40)
+        for rows in (0, 1, 255, 256, 257, 600):
+            points = rng.random((rows, 3))
+            buf.fill(np.nan)  # whatever an earlier kernel left there
+            kernel = cubic_kernel(points, centers, buf)
+            # The view buf[:rows * 30].reshape(rows, 30).
+            assert kernel.ctypes.data == buf.ctypes.data and kernel.flags.c_contiguous
+            np.testing.assert_array_equal(kernel, cubic_kernel(points, centers))
+        with pytest.raises(ValueError, match="cannot hold a 601x30 kernel"):
+            cubic_kernel(rng.random((601, 3)), centers, kernel_workspace(600, 30))
+
+    def test_evaluate_many_in_a_workspace_allocates_no_kernel(self):
+        rng = np.random.default_rng(20)
+        n_centers, cloud = 300, rng.random((10000, 2))
+        model = RbfModel(
+            centers=rng.random((n_centers, 2)),
+            weights=rng.normal(size=n_centers),
+            tail_linear=rng.normal(size=2),
+            tail_const=0.5,
+            scaling=np.eye(2),
+        )
+        buf = kernel_workspace(len(cloud), n_centers)
+        tracemalloc.start()
+        try:
+            values = model.evaluate_many(cloud, buf=buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * cloud.shape[0] * n_centers * 8
+        np.testing.assert_array_equal(values, model.evaluate_many(cloud))
 
     def test_model_is_cubic_in_distance(self):
         # One center with zero tail: value grows as distance cubed.

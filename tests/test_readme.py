@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -14,13 +15,19 @@ _IMPORTS_RBFCORS = re.compile(r"^(from|import) rbfcors\b", re.MULTILINE)
 
 def readme_examples() -> list:
     """One pytest.param(line, code) per python block that imports rbfcors;
-    line is the README line of the block's first line of code."""
+    line is the README line of the block's first line of code.
+
+    The id is the example's position among them and a digest of its code,
+    so prose edits elsewhere in the README leave every id as it was.
+    """
     text = README.read_text(encoding="utf-8")
     examples = []
     for match in _BLOCK.finditer(text):
-        if _IMPORTS_RBFCORS.search(match.group(1)):
+        code = match.group(1)
+        if _IMPORTS_RBFCORS.search(code):
             line = text.count("\n", 0, match.start(1)) + 1
-            examples.append(pytest.param(line, match.group(1), id=f"line{line}"))
+            digest = hashlib.sha256(code.encode()).hexdigest()[:8]
+            examples.append(pytest.param(line, code, id=f"example{len(examples)}-{digest}"))
     return examples
 
 
