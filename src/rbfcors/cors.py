@@ -182,9 +182,9 @@ class CandidateDraw:
     """One proposal's random candidates, drawn before its model is fitted.
 
     uniform holds the uniform candidates, and nearest each one's distance
-    to the nearest of centers.  offsets holds the Gaussian steps, with
-    sigma = max(radius, 0.05), that propose_point adds to the incumbent; it
-    is None when local is false or settings ask for no local candidates.
+    to the nearest of centers.  offsets holds the settings.local_candidates
+    Gaussian steps, with sigma = max(radius, 0.05), that propose_point adds
+    to the incumbent; it is None when local_candidates is 0.
     None of this depends on objective values, so the optimizer draws it
     while the batch before the fit is still being evaluated.
     """
@@ -192,27 +192,27 @@ class CandidateDraw:
     centers: np.ndarray
     radius: float
     settings: ProposalSettings
-    local: bool
     uniform: np.ndarray
     offsets: np.ndarray | None
     nearest: np.ndarray
 
 
 def draw_candidates(
-    centers, radius: float, rng: np.random.Generator, settings: ProposalSettings, local: bool
+    centers, radius: float, rng: np.random.Generator, settings: ProposalSettings
 ) -> CandidateDraw:
     """Draw one proposal's candidates: the uniform block, then the Gaussian
-    block, and measure the uniform ones against the (n, d) centers."""
+    block if settings.local_candidates is positive, and measure the uniform
+    ones against the (n, d) centers."""
     if radius < 0.0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     centers = np.asarray(centers, dtype=float)
     dim = centers.shape[1]
     uniform = rng.random((settings.uniform_per_dim * dim, dim))
     offsets = None
-    if local and settings.local_candidates > 0:
+    if settings.local_candidates > 0:
         offsets = rng.normal(0.0, max(radius, 0.05), (settings.local_candidates, dim))
     nearest = _min_center_distance(uniform, centers)
-    return CandidateDraw(centers, radius, settings, local, uniform, offsets, nearest)
+    return CandidateDraw(centers, radius, settings, uniform, offsets, nearest)
 
 
 def draw_batch(
@@ -222,7 +222,6 @@ def draw_batch(
     batch: int,
     rng: np.random.Generator,
     settings: ProposalSettings,
-    local: bool = True,
 ) -> list[CandidateDraw]:
     """Draw the candidates of `batch` proposals that consume consecutive
     iteration indices of the schedule, starting at start_iter.
@@ -242,9 +241,7 @@ def draw_batch(
         )
     centers = np.asarray(centers, dtype=float)
     return [
-        draw_candidates(
-            centers, schedule.radius(start_iter + j, len(centers) + j), rng, settings, local
-        )
+        draw_candidates(centers, schedule.radius(start_iter + j, len(centers) + j), rng, settings)
         for j in range(batch)
     ]
 
@@ -320,9 +317,9 @@ def propose_point(
 
     The centers are draw.centers followed by the (m, d) pending points, which
     the draw's uniform candidates have not yet been measured against.  The
-    candidates are the draw's uniform points plus, for a local draw, its
-    Gaussian offsets around best_point, clipped into the closed unit cube;
-    best_point is given exactly when the draw is local.  Candidates violating
+    candidates are the draw's uniform points plus its Gaussian offsets, if
+    any, around the incumbent best_point, clipped into the closed unit cube;
+    a draw without offsets leaves best_point unused.  Candidates violating
     the distance constraint are dropped; the best survivor is refined by
     pattern search.  If no candidate is feasible (radius too large for the
     remaining free space), the candidate farthest from the centers is
@@ -332,8 +329,6 @@ def propose_point(
     workspace from rbf.kernel_workspace with room for
     draw.settings.kernel_rows(d) rows against the model's centers.
     """
-    if draw.local != (best_point is not None):
-        raise ValueError("best_point must be given exactly when the draw is local")
     radius = draw.radius
     pending = np.asarray(pending, dtype=float).reshape(-1, model.dim)
     centers = np.vstack([draw.centers, pending])
@@ -364,8 +359,9 @@ def propose_point(
 def propose_batch(
     model: RbfModel, draws: list[CandidateDraw], best_point, buf: np.ndarray | None = None
 ) -> list[Proposal]:
-    """Propose one point per draw_batch draw from one fitted model, each
-    building its kernels in buf when that is given.
+    """Propose one point per draw_batch draw from one fitted model around
+    the incumbent best_point, each building its kernels in buf when that is
+    given.
 
     Each proposal joins the pending points of the proposals after it, so
     they keep their distance from it as from an evaluated center.

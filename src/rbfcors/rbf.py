@@ -125,7 +125,7 @@ class SpaceScaling:
     matrix rows are eigvec_i / sqrt(eigval_i); eigenvalues are stored after
     clamping tiny ones to a floor relative to the largest, since a flat cloud
     direction would otherwise blow up the division.  degenerate marks the
-    identity fallback used when the cloud carries no spatial information.
+    identity fallback used when the kept cloud has no spatial extent.
     """
 
     matrix: np.ndarray
@@ -437,10 +437,11 @@ def compute_space_scaling(
     Ranks the uniform points of the cloud, a scaling_cloud for this model's
     centers and scaling, by their surface values, keeps the best_fraction
     with the lowest, and builds T from the eigensystem of the kept cloud's
-    covariance (unbiased normalization).  A cloud that collapses to a single
-    point yields the identity matrix with the degenerate flag set.  The
-    cloud's kernel is released once the cloud is ranked, so a cloud serves
-    one scaling.
+    covariance (unbiased normalization).  best_fraction must keep at least
+    2 of the cloud's points, since one point has no covariance; a kept cloud
+    without spatial extent yields the identity matrix with the degenerate
+    flag set.  The cloud's kernel is released once the cloud is ranked, so
+    a cloud serves one scaling.
     """
     if not 0.0 < best_fraction <= 0.5:
         raise ValueError(f"best_fraction must be in (0, 0.5], got {best_fraction}")
@@ -450,26 +451,26 @@ def compute_space_scaling(
         and np.array_equal(cloud.scaling, model.scaling)
     ):
         raise ValueError("cloud was not drawn for this model's centers and scaling")
+    keep = math.ceil(len(cloud.points) * best_fraction)
+    if keep < 2:
+        raise ValueError(
+            f"best_fraction must be large enough to keep 2 of the {len(cloud.points)} "
+            f"cloud points, got {best_fraction}"
+        )
 
     d = model.dim
     surface = model.evaluate_many(cloud.points, cloud.kernel)
     cloud.kernel = None
-    keep = max(1, math.ceil(len(cloud.points) * best_fraction))
     kept = cloud.points[np.argpartition(surface, keep - 1)[:keep]]
-
-    identity = SpaceScaling(
-        matrix=np.eye(d), eigenvalues=np.ones(d), eigenvectors=np.eye(d), degenerate=True
-    )
-    if kept.shape[0] < 2:
-        log.warning("space rescaling cloud collapsed to one point; keeping identity scaling")
-        return identity
 
     covariance = np.atleast_2d(np.cov(kept, rowvar=False))
     eigenvalues, eigenvectors = np.linalg.eigh(covariance)
     largest = float(eigenvalues.max())
     if not np.isfinite(largest) or largest <= 0.0:
         log.warning("space rescaling cloud has no spatial extent; keeping identity scaling")
-        return identity
+        return SpaceScaling(
+            matrix=np.eye(d), eigenvalues=np.ones(d), eigenvectors=np.eye(d), degenerate=True
+        )
 
     clamped = np.maximum(eigenvalues, _EIGENVALUE_FLOOR_RATIO * largest)
     directions = eigenvectors.T  # row i is the unit eigenvector for clamped[i]

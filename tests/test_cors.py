@@ -132,9 +132,13 @@ class TestProposalSettings:
             uniform_per_dim=1, local_candidates=0, pattern_steps=0, min_step=0.05
         )
         model, points = sphere_model(np.random.default_rng(3))
-        draw = draw_candidates(points, 0.0, np.random.default_rng(4), settings, False)
-        prop = propose_point(model, draw, None, ())
+        draw = draw_candidates(points, 0.0, np.random.default_rng(4), settings)
+        prop = propose_point(model, draw, points[0], ())
         assert prop.x.shape == (2,)
+
+
+# Uniform candidates only: no Gaussian offsets, so the incumbent is unused.
+UNIFORM_ONLY = ProposalSettings(local_candidates=0)
 
 
 def sphere_model(rng, n_points=25):
@@ -146,12 +150,12 @@ def sphere_model(rng, n_points=25):
 class TestProposePoint:
     def test_unconstrained_tracks_candidate_minimum(self):
         model, points = sphere_model(np.random.default_rng(0))
-        draw = draw_candidates(points, 0.0, np.random.default_rng(42), ProposalSettings(), False)
-        prop = propose_point(model, draw, None, ())
+        draw = draw_candidates(points, 0.0, np.random.default_rng(42), UNIFORM_ONLY)
+        prop = propose_point(model, draw, points[0], ())
         assert not prop.fallback
 
         rng = np.random.default_rng(42)
-        cands = draw_candidates(points, 0.0, rng, ProposalSettings(), False).uniform
+        cands = draw_candidates(points, 0.0, rng, UNIFORM_ONLY).uniform
         candidate_min = float(model.evaluate_many(cands).min())
         assert prop.surrogate_value <= candidate_min + 1e-12
         assert candidate_min - prop.surrogate_value < 1e-3
@@ -159,12 +163,12 @@ class TestProposePoint:
     def test_never_beaten_by_any_feasible_candidate(self):
         model, points = sphere_model(np.random.default_rng(1))
         radius = 0.2
-        draw = draw_candidates(points, radius, np.random.default_rng(5), ProposalSettings(), False)
-        prop = propose_point(model, draw, None, ())
+        draw = draw_candidates(points, radius, np.random.default_rng(5), UNIFORM_ONLY)
+        prop = propose_point(model, draw, points[0], ())
         assert not prop.fallback
 
         rng = np.random.default_rng(5)
-        cands = draw_candidates(points, radius, rng, ProposalSettings(), False).uniform
+        cands = draw_candidates(points, radius, rng, UNIFORM_ONLY).uniform
         feasible = cands[cdist(cands, points).min(axis=1) >= radius]
         best_candidate = float(model.evaluate_many(feasible).min())
         assert prop.surrogate_value <= best_candidate + 1e-12
@@ -172,20 +176,20 @@ class TestProposePoint:
     def test_respects_distance_constraint(self):
         model, points = sphere_model(np.random.default_rng(2))
         centers = np.array([[0.5, 0.5]])
-        draw = draw_candidates(centers, 0.45, np.random.default_rng(3), ProposalSettings(), False)
-        prop = propose_point(model, draw, None, ())
+        draw = draw_candidates(centers, 0.45, np.random.default_rng(3), UNIFORM_ONLY)
+        prop = propose_point(model, draw, points[0], ())
         assert not prop.fallback
         assert float(cdist(prop.x[None, :], centers).min()) >= 0.45
         assert model.evaluate(prop.x) == pytest.approx(prop.surrogate_value)
 
     def test_infeasible_radius_triggers_fallback(self):
         model, points = sphere_model(np.random.default_rng(3))
-        draw = draw_candidates(points, 2.0, np.random.default_rng(8), ProposalSettings(), False)
-        prop = propose_point(model, draw, None, ())
+        draw = draw_candidates(points, 2.0, np.random.default_rng(8), UNIFORM_ONLY)
+        prop = propose_point(model, draw, points[0], ())
         assert prop.fallback
 
         rng = np.random.default_rng(8)
-        cands = draw_candidates(points, 2.0, rng, ProposalSettings(), False).uniform
+        cands = draw_candidates(points, 2.0, rng, UNIFORM_ONLY).uniform
         dmin = cdist(cands, points).min(axis=1)
         np.testing.assert_array_equal(prop.x, cands[int(np.argmax(dmin))])
 
@@ -193,32 +197,38 @@ class TestProposePoint:
         model, points = sphere_model(np.random.default_rng(4))
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            draw = draw_candidates(points, 0.1, rng, ProposalSettings(), True)
+            draw = draw_candidates(points, 0.1, rng, ProposalSettings())
             prop = propose_point(model, draw, np.array([0.98, 0.01]), ())
             assert np.all(prop.x >= 0.0) and np.all(prop.x <= 1.0)
 
     def test_local_candidates_follow_incumbent(self):
         settings = ProposalSettings(uniform_per_dim=5, local_candidates=100)
         best = np.array([0.3, 0.7])
-        draw = draw_candidates(best[None, :], 0.01, np.random.default_rng(0), settings, True)
+        draw = draw_candidates(best[None, :], 0.01, np.random.default_rng(0), settings)
         assert draw.uniform.shape == (10, 2) and draw.offsets.shape == (100, 2)
         # The Gaussian tail sits near the incumbent (sigma = 0.05 here).
         local = best + draw.offsets
         assert float(np.median(cdist(local, best[None, :]))) < 0.15
 
+    def test_uniform_only_draw_is_a_bare_uniform_draw_and_ignores_the_incumbent(self):
+        model, points = sphere_model(np.random.default_rng(6))
+        rng, bare = np.random.default_rng(0), np.random.default_rng(0)
+        draw = draw_candidates(points, 0.1, rng, UNIFORM_ONLY)
+        assert draw.offsets is None
+        uniform = bare.random((UNIFORM_ONLY.uniform_per_dim * 2, 2))
+        np.testing.assert_array_equal(draw.uniform, uniform)
+        assert rng.bit_generator.state == bare.bit_generator.state
+
+        first = propose_point(model, draw, points[0], ())
+        second = propose_point(model, draw, np.array([0.9, 0.1]), ())
+        assert first.x.tobytes() == second.x.tobytes()
+        assert (first.radius, first.fallback) == (second.radius, second.fallback)
+        assert first.surrogate_value == second.surrogate_value
+
     def test_rejects_negative_radius(self):
         _, points = sphere_model(np.random.default_rng(5))
         with pytest.raises(ValueError):
-            draw_candidates(points, -0.1, np.random.default_rng(0), ProposalSettings(), False)
-
-    def test_best_point_given_exactly_for_a_local_draw(self):
-        model, points = sphere_model(np.random.default_rng(6))
-        local = draw_candidates(points, 0.1, np.random.default_rng(0), ProposalSettings(), True)
-        with pytest.raises(ValueError, match="best_point"):
-            propose_point(model, local, None, ())
-        plain = draw_candidates(points, 0.1, np.random.default_rng(0), ProposalSettings(), False)
-        with pytest.raises(ValueError, match="best_point"):
-            propose_point(model, plain, points[0], ())
+            draw_candidates(points, -0.1, np.random.default_rng(0), UNIFORM_ONLY)
 
 
 class TestMinCenterDistance:
@@ -351,15 +361,15 @@ class TestPatternSearch:
 class TestSurrogateValue:
     def test_is_the_one_point_value_at_the_proposal(self):
         model, points = sphere_model(np.random.default_rng(11))
-        draw = draw_candidates(points, 0.05, np.random.default_rng(12), ProposalSettings(), False)
-        prop = propose_point(model, draw, None, ())
+        draw = draw_candidates(points, 0.05, np.random.default_rng(12), UNIFORM_ONLY)
+        prop = propose_point(model, draw, points[0], ())
         assert not prop.fallback
         assert prop.surrogate_value == model.evaluate(prop.x)
 
     def test_is_the_one_point_value_on_the_fallback(self):
         model, points = sphere_model(np.random.default_rng(13))
-        draw = draw_candidates(points, 2.0, np.random.default_rng(14), ProposalSettings(), False)
-        prop = propose_point(model, draw, None, ())
+        draw = draw_candidates(points, 2.0, np.random.default_rng(14), UNIFORM_ONLY)
+        prop = propose_point(model, draw, points[0], ())
         assert prop.fallback
         assert prop.surrogate_value == model.evaluate(prop.x)
 
@@ -373,8 +383,8 @@ class TestProposeBatch:
     def propose(self, model, centers, sched, start_iter, batch, seed):
         """The batch the composed calls propose without local candidates."""
         rng = np.random.default_rng(seed)
-        draws = draw_batch(centers, sched, start_iter, batch, rng, ProposalSettings(), False)
-        return propose_batch(model, draws, None)
+        draws = draw_batch(centers, sched, start_iter, batch, rng, UNIFORM_ONLY)
+        return propose_batch(model, draws, centers[0])
 
     def test_single_proposal_reduces_to_propose_point(self):
         # Serial case: a one-element batch takes its radius from the live
@@ -384,10 +394,9 @@ class TestProposeBatch:
         centers = rng.random((22, 2))
         sched = self.schedule()
         batch = self.propose(model, centers, sched, 3, 1, 9)
-        draw = draw_candidates(
-            centers, sched.radius(3, 22), np.random.default_rng(9), ProposalSettings(), False
-        )
-        solo = propose_point(model, draw, None, ())
+        radius = sched.radius(3, 22)
+        draw = draw_candidates(centers, radius, np.random.default_rng(9), UNIFORM_ONLY)
+        solo = propose_point(model, draw, centers[0], ())
         np.testing.assert_array_equal(batch[0].x, solo.x)
         assert batch[0].radius == sched.radius(3, 22)
 

@@ -397,12 +397,12 @@ class TestSpaceScaling:
         ):
             np.testing.assert_allclose(row, eigvec / math.sqrt(eigval), atol=1e-12)
 
-    def test_single_kept_point_falls_back_to_identity(self):
+    def test_single_kept_point_is_rejected(self):
+        # One kept point has no covariance; the config rejects the same case.
         model, _ = self._slab_model()
         cloud = cloud_for(model, 100, np.random.default_rng(0))
-        scaling = compute_space_scaling(model, cloud, 0.005)
-        assert scaling.degenerate
-        np.testing.assert_array_equal(scaling.matrix, np.eye(2))
+        with pytest.raises(ValueError, match=r"^best_fraction must be large enough to keep 2 "):
+            compute_space_scaling(model, cloud, 0.005)
 
     def test_rank_deficient_cloud_clamps_eigenvalues(self):
         model, _ = self._slab_model()

@@ -1,12 +1,16 @@
-"""Every README example that imports rbfcors runs as written."""
+"""Every README example that imports rbfcors runs as written, and the
+README names every optional config key."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import re
 from pathlib import Path
 
 import pytest
+
+from rbfcors import OptimizationConfig, ProposalSettings
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 _BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
@@ -39,3 +43,17 @@ def test_readme_has_examples():
 def test_readme_example_runs(line, code):
     # Padding the code to its README line makes tracebacks point into the README.
     exec(compile("\n" * (line - 1) + code, str(README), "exec"), {"__name__": "readme_example"})
+
+
+def test_readme_lists_exactly_the_optional_config_keys():
+    text = README.read_text(encoding="utf-8")
+    listing = re.search(
+        r"Optional\s+keys\s+mirror\s+`OptimizationConfig`:(.*?)Unknown\s+keys", text, re.DOTALL
+    )
+    named = set(re.findall(r"`(\w+)`", listing.group(1)))
+    optional = {
+        f.name
+        for f in dataclasses.fields(OptimizationConfig)
+        if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+    }
+    assert named == optional | {f.name for f in dataclasses.fields(ProposalSettings)}
