@@ -422,9 +422,7 @@ def cmd_surface(args) -> None:
         raise ConfigError(f"resolution must be at least 2, got {args.resolution}")
     model = fit(points, raw_values)
     if args.scaled:
-        cloud = scaling_cloud(
-            rng.random((OptimizationConfig.cloud_size, d)), model.centers, model.scaling
-        )
+        cloud = scaling_cloud(model.centers, model.scaling, rng, OptimizationConfig.cloud_size)
         scaling = compute_space_scaling(model, cloud, OptimizationConfig.best_fraction)
         model = refit_with_scaling(points, raw_values, scaling)
     axis = np.linspace(0.0, 1.0, args.resolution)

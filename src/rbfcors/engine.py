@@ -270,15 +270,12 @@ def _look_ahead(
 ):
     """(cloud, draws) of the batch starting at iteration, for these centers;
     the cloud's kernel is built in buf."""
-    dim = centers.shape[1]
-    points = rng.random((config.cloud_size, dim)) if config.use_space_rescaling else None
+    cloud = None
+    if config.use_space_rescaling:
+        # The cloud is ranked by the plain fit, whose scaling is the identity.
+        cloud = scaling_cloud(centers, np.eye(centers.shape[1]), rng, config.cloud_size, buf)
     k = min(config.effective_batch(), config.n_iter - iteration + 1)
-    draws = draw_batch(centers, schedule, iteration, k, rng, config.proposal)
-    if points is None:
-        return None, draws
-    # The cloud is ranked by the plain fit, whose scaling is the identity.  Its
-    # kernel is built last, so it fills buf only once the scans are done.
-    return scaling_cloud(points, centers, np.eye(dim), buf), draws
+    return cloud, draw_batch(centers, schedule, iteration, k, rng, config.proposal)
 
 
 def _evaluate_into(

@@ -124,21 +124,18 @@ class SpaceScaling:
 
     matrix rows are eigvec_i / sqrt(eigval_i); eigenvalues are stored after
     clamping tiny ones to a floor relative to the largest, since a flat cloud
-    direction would otherwise blow up the division.  degenerate marks the
-    identity fallback used when the kept cloud has no spatial extent.
+    direction would otherwise blow up the division.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    degenerate: bool = False
 
 
 @dataclass
 class ScalingCloud:
-    """The uniform cloud that compute_space_scaling ranks, with its cubic
-    kernel matrix against the centers under the scaling of the model that
-    will rank it.
+    """The uniform cloud that scaling_cloud draws and compute_space_scaling
+    ranks, with its cubic kernel matrix against the centers under the
+    scaling of the model that will rank it.
 
     Neither depends on objective values, so the optimizer draws the cloud
     while the batch before the fit is still being evaluated.  Ranking the
@@ -153,13 +150,15 @@ class ScalingCloud:
 
 
 def scaling_cloud(
-    points: np.ndarray, centers, scaling, buf: np.ndarray | None = None
+    centers, scaling, rng: np.random.Generator, size: int, buf: np.ndarray | None = None
 ) -> ScalingCloud:
-    """The cloud of uniform points, drawn as rng.random((cloud_size, d)),
-    with its kernel matrix against the (n, d) centers, distances measured
-    through scaling; the matrix is built in buf when that is given."""
+    """Draw the cloud as rng.random((size, d)) and build its kernel matrix
+    against the (n, d) centers, distances measured through scaling; the
+    matrix is built in buf when that is given.  The draw is the only use of
+    rng."""
     centers = np.asarray(centers, dtype=float)
     scaling = np.asarray(scaling, dtype=float)
+    points = rng.random((size, centers.shape[1]))
     kernel = cubic_kernel(points @ scaling.T, centers @ scaling.T, buf)
     return ScalingCloud(points=points, centers=centers, scaling=scaling, kernel=kernel)
 
@@ -438,10 +437,9 @@ def compute_space_scaling(
     centers and scaling, by their surface values, keeps the best_fraction
     with the lowest, and builds T from the eigensystem of the kept cloud's
     covariance (unbiased normalization).  best_fraction must keep at least
-    2 of the cloud's points, since one point has no covariance; a kept cloud
-    without spatial extent yields the identity matrix with the degenerate
-    flag set.  The cloud's kernel is released once the cloud is ranked, so
-    a cloud serves one scaling.
+    2 of the cloud's points, since one point has no covariance; 2 or more
+    uniform draws always have some.  The cloud's kernel is released once the
+    cloud is ranked, so a cloud serves one scaling.
     """
     if not 0.0 < best_fraction <= 0.5:
         raise ValueError(f"best_fraction must be in (0, 0.5], got {best_fraction}")
@@ -458,26 +456,15 @@ def compute_space_scaling(
             f"cloud points, got {best_fraction}"
         )
 
-    d = model.dim
     surface = model.evaluate_many(cloud.points, cloud.kernel)
     cloud.kernel = None
     kept = cloud.points[np.argpartition(surface, keep - 1)[:keep]]
 
     covariance = np.atleast_2d(np.cov(kept, rowvar=False))
     eigenvalues, eigenvectors = np.linalg.eigh(covariance)
-    largest = float(eigenvalues.max())
-    if not np.isfinite(largest) or largest <= 0.0:
-        log.warning("space rescaling cloud has no spatial extent; keeping identity scaling")
-        return SpaceScaling(
-            matrix=np.eye(d), eigenvalues=np.ones(d), eigenvectors=np.eye(d), degenerate=True
-        )
-
-    clamped = np.maximum(eigenvalues, _EIGENVALUE_FLOOR_RATIO * largest)
-    directions = eigenvectors.T  # row i is the unit eigenvector for clamped[i]
-    matrix = directions / np.sqrt(clamped)[:, None]
-    return SpaceScaling(
-        matrix=matrix, eigenvalues=clamped, eigenvectors=directions, degenerate=False
-    )
+    clamped = np.maximum(eigenvalues, _EIGENVALUE_FLOOR_RATIO * eigenvalues.max())
+    # Row i is the unit eigenvector for clamped[i], over its square root.
+    return SpaceScaling(matrix=eigenvectors.T / np.sqrt(clamped)[:, None], eigenvalues=clamped)
 
 
 def refit_with_scaling(points, values, scaling: SpaceScaling) -> RbfModel:

@@ -22,7 +22,14 @@ from rbfcors.cli import (
     main,
     parse_history,
 )
-from rbfcors.rbf import SingularFitError, fit
+from rbfcors.engine import OptimizationConfig
+from rbfcors.rbf import (
+    SingularFitError,
+    compute_space_scaling,
+    fit,
+    refit_with_scaling,
+    scaling_cloud,
+)
 
 
 def write_config(path, **overrides):
@@ -557,6 +564,26 @@ class TestSurfaceCommand:
         main(["surface", "--history", str(history), "--resolution", "31",
               "--scaled", "--seed", "0", "--out", str(out_s)])
         assert not np.array_equal(self.load_grid(out_u), self.load_grid(out_s))
+
+    def test_scaled_grid_is_the_library_composition(self, tmp_path):
+        history = self.run_history(tmp_path, n_init=20, n_iter=0, seed=6)
+        out = tmp_path / "s.csv"
+        code = main(["surface", "--history", str(history), "--resolution", "31",
+                     "--scaled", "--seed", "3", "--out", str(out)])
+        assert code == EXIT_OK
+
+        points, raw = parse_history(str(history))
+        model = fit(points, raw)
+        rng = np.random.default_rng(3)
+        cloud = scaling_cloud(model.centers, model.scaling, rng, OptimizationConfig.cloud_size)
+        scaling = compute_space_scaling(model, cloud, OptimizationConfig.best_fraction)
+        model = refit_with_scaling(points, raw, scaling)
+        axis = np.linspace(0.0, 1.0, 31)
+        first, second = np.meshgrid(axis, axis, indexing="ij")
+        grid = np.stack([first.ravel(), second.ravel()], axis=1)
+        rows = model.evaluate_many(grid).reshape(31, 31)
+        expected = "".join(",".join(format_float(v) for v in row) + "\n" for row in rows)
+        assert out.read_text().split("\n", 1)[1] == expected
 
     def test_constant_history_gives_constant_grid(self, tmp_path):
         history = tmp_path / "hist.csv"

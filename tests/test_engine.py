@@ -649,11 +649,10 @@ class TestComposition:
         rescaler = fit_rescaler(values, cfg.keep_fraction)
         schedule = RadiusSchedule(cfg.initial_density, cfg.decay_exponent, cfg.n_iter, 2)
         for iteration in (1, 3):
-            cloud_points = rng.random((cfg.cloud_size, 2))
+            cloud = scaling_cloud(centers, np.eye(2), rng, cfg.cloud_size)
             draws = draw_batch(centers, schedule, iteration, 2, rng, cfg.proposal)
             scaled = [rescaler.rescale(v) for v in values]
             model = fit(centers, scaled)
-            cloud = scaling_cloud(cloud_points, centers, np.eye(2))
             scaling = compute_space_scaling(model, cloud, cfg.best_fraction)
             model = refit_with_scaling(centers, scaled, scaling)
             proposals = propose_batch(model, draws, centers[int(np.argmin(values))])
@@ -720,10 +719,11 @@ class TestWorkspace:
         )
         assert len(run(sphere_objective, unit_domain(), cfg).history) == 16
 
-    def test_history_independent_of_blas_thread_count(self):
-        # 76 centers; the surface values of the cloud and candidate kernels
-        # come from one threaded matrix-vector product each.
-        settings = dict(n_init=6, n_iter=70, seed=0)
+    @pytest.mark.parametrize("n_iter", [70, 200])
+    def test_history_independent_of_blas_thread_count(self, n_iter):
+        # 76 and 206 centers; the surface values of the cloud and candidate
+        # kernels come from one threaded matrix-vector product each.
+        settings = dict(n_init=6, n_iter=n_iter, seed=0)
         default = multimodal_history(**settings)
         with rbf._one_blas_thread.held():
             single = multimodal_history(**settings)

@@ -362,7 +362,20 @@ class TestBlasThreadScope:
 
 def cloud_for(model, cloud_size, rng):
     """A scaling cloud of cloud_size points from rng for the model."""
-    return scaling_cloud(rng.random((cloud_size, model.dim)), model.centers, model.scaling)
+    return scaling_cloud(model.centers, model.scaling, rng, cloud_size)
+
+
+class TestScalingCloud:
+    def test_draws_its_points_and_builds_their_kernel(self):
+        rng = np.random.default_rng(30)
+        centers, S = rng.random((7, 3)), rng.normal(size=(3, 3))
+        drawing, oracle = np.random.default_rng(31), np.random.default_rng(31)
+        cloud = scaling_cloud(centers, S, drawing, 500)
+
+        np.testing.assert_array_equal(cloud.points, oracle.random((500, 3)))
+        assert drawing.bit_generator.state == oracle.bit_generator.state
+        expected = cubic_kernel(cloud.points @ S.T, centers @ S.T)
+        np.testing.assert_array_equal(cloud.kernel, expected)
 
 
 class TestSpaceScaling:
@@ -386,16 +399,20 @@ class TestSpaceScaling:
         covariance = np.cov(kept, rowvar=False)
         whitened = scaling.matrix @ covariance @ scaling.matrix.T
         np.testing.assert_allclose(whitened, np.eye(2), atol=1e-8)
-        assert not scaling.degenerate
 
     def test_rows_scale_inverse_sqrt_eigenvalue(self):
         model, _ = self._slab_model()
         cloud = cloud_for(model, 2000, np.random.default_rng(10))
+        surface = model.evaluate_many(cloud.points)
         scaling = compute_space_scaling(model, cloud, 0.05)
-        for row, eigval, eigvec in zip(
-            scaling.matrix, scaling.eigenvalues, scaling.eigenvectors
-        ):
-            np.testing.assert_allclose(row, eigvec / math.sqrt(eigval), atol=1e-12)
+
+        kept = cloud.points[np.argsort(surface, kind="stable")[: math.ceil(2000 * 0.05)]]
+        eigenvalues, eigenvectors = np.linalg.eigh(np.cov(kept, rowvar=False))
+        np.testing.assert_allclose(scaling.eigenvalues, eigenvalues, rtol=1e-12)
+        for row, eigval, eigvec in zip(scaling.matrix, eigenvalues, eigenvectors.T):
+            # An eigenvector's sign is arbitrary.
+            sign = np.sign(row @ eigvec)
+            np.testing.assert_allclose(row, sign * eigvec / math.sqrt(eigval), atol=1e-12)
 
     def test_single_kept_point_is_rejected(self):
         # One kept point has no covariance; the config rejects the same case.
@@ -410,7 +427,6 @@ class TestSpaceScaling:
         # must be floored instead of producing an infinite row.
         cloud = cloud_for(model, 100, np.random.default_rng(0))
         scaling = compute_space_scaling(model, cloud, 0.02)
-        assert not scaling.degenerate
         assert scaling.eigenvalues.min() >= 1e-8 * scaling.eigenvalues.max()
         assert np.all(np.isfinite(scaling.matrix))
 
