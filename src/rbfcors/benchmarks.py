@@ -7,6 +7,8 @@ from typing import Callable
 
 import numpy as np
 
+from .scaling import BoundedDomain
+
 
 def _check_unit_box(*coords):
     for c in coords:
@@ -48,18 +50,16 @@ def sphere(x):
 
 @dataclass(frozen=True)
 class NamedObjective:
-    """A benchmark bundled with its natural domain.
+    """A benchmark bundled with its natural domain, which fixes its dimension.
 
-    evaluate takes one point as a 1-D array; evaluate_many, if provided,
-    takes an (n, d) array and returns n values in one call.
+    evaluate takes one point as a 1-D array; evaluate_many takes an (n, d)
+    array and returns n values in one call.
     """
 
     name: str
-    dim: int
-    lower: np.ndarray
-    upper: np.ndarray
+    domain: BoundedDomain
     evaluate: Callable[[np.ndarray], float]
-    evaluate_many: Callable[[np.ndarray], np.ndarray] | None = None
+    evaluate_many: Callable[[np.ndarray], np.ndarray]
 
 
 _PLANAR = {"multimodal": multimodal, "valley": valley}
@@ -76,9 +76,7 @@ def builtin(name: str, dim: int = 2) -> NamedObjective:
         function = _PLANAR[name]
         return NamedObjective(
             name=name,
-            dim=2,
-            lower=np.zeros(2),
-            upper=np.ones(2),
+            domain=BoundedDomain(np.zeros(2), np.ones(2)),
             evaluate=lambda p: float(function(p[0], p[1])),
             evaluate_many=lambda pts: np.asarray(function(pts[:, 0], pts[:, 1]), dtype=float),
         )
@@ -87,9 +85,7 @@ def builtin(name: str, dim: int = 2) -> NamedObjective:
             raise ValueError(f"sphere needs dim >= 1, got {dim}")
         return NamedObjective(
             name="sphere",
-            dim=dim,
-            lower=np.zeros(dim),
-            upper=np.ones(dim),
+            domain=BoundedDomain(np.zeros(dim), np.ones(dim)),
             evaluate=sphere,
             evaluate_many=lambda pts: np.sum((pts - 0.5) ** 2, axis=1),
         )
@@ -99,25 +95,19 @@ def builtin(name: str, dim: int = 2) -> NamedObjective:
 def grid_oracle(objective: NamedObjective, resolution: int = 1001):
     """Exhaustive minimum of a benchmark over a regular grid of its domain.
 
+    The whole grid goes to the objective's evaluate_many in one call.
     Returns (point, value) for the smallest grid value; ties resolve to the
     lexicographically first grid point.  Intended for validating optimizer
     output, so it refuses dimensions where the grid would not fit in memory.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
-    if objective.dim > 3:
-        raise ValueError(
-            f"grid oracle supports at most 3 dimensions, got {objective.dim}"
-        )
-    axes = [
-        np.linspace(objective.lower[i], objective.upper[i], resolution)
-        for i in range(objective.dim)
-    ]
+    domain = objective.domain
+    if domain.dim > 3:
+        raise ValueError(f"grid oracle supports at most 3 dimensions, got {domain.dim}")
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in zip(domain.lower, domain.upper)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
-    if objective.evaluate_many is not None:
-        values = np.asarray(objective.evaluate_many(points), dtype=float)
-    else:
-        values = np.array([objective.evaluate(p) for p in points])
+    values = np.asarray(objective.evaluate_many(points), dtype=float)
     best = int(np.argmin(values))
     return points[best].copy(), float(values[best])

@@ -184,12 +184,13 @@ def _resolve_objective(raw: str, values: dict) -> tuple[NamedObjective | list[st
         raise _located(raw, "objective", "external objective must be a non-empty array of strings")
 
     if ("lower" in values) != ("upper" in values):
-        raise _located(raw, "lower", "lower and upper must be given together")
+        given = "lower" if "lower" in values else "upper"
+        raise _located(raw, given, "lower and upper must be given together")
     if "lower" not in values:
         if isinstance(objective, list):
             raise ConfigError("external objectives require explicit lower and upper bounds")
         named = builtin(objective)
-        return named, BoundedDomain(named.lower, named.upper)
+        return named, named.domain
 
     bounds = []
     for key in ("lower", "upper"):
@@ -205,19 +206,20 @@ def _resolve_objective(raw: str, values: dict) -> tuple[NamedObjective | list[st
         return objective, domain
 
     named = builtin(objective, dim=domain.dim)
-    if domain.dim != named.dim:
+    box = named.domain
+    if domain.dim != box.dim:
         raise _located(
             raw,
             "lower",
-            f"objective {objective!r} is {named.dim}-dimensional, "
+            f"objective {objective!r} is {box.dim}-dimensional, "
             f"bounds have {domain.dim} entries",
         )
-    if np.any(domain.lower < named.lower) or np.any(domain.upper > named.upper):
+    if np.any(domain.lower < box.lower) or np.any(domain.upper > box.upper):
         raise _located(
             raw,
             "lower",
             f"bounds must lie within the {objective!r} domain "
-            f"[{named.lower.tolist()}, {named.upper.tolist()}]",
+            f"[{box.lower.tolist()}, {box.upper.tolist()}]",
         )
     return named, domain
 

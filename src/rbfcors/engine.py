@@ -182,18 +182,14 @@ def evaluate_batch(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     stop = threading.Event()
-    started = threading.Event()
-    pending_starts = min(workers, len(points))
-    lock = threading.Lock()
+    # One release per call entering the objective; a failure releases enough
+    # for the caller's every acquire, so it never waits on calls that stopped.
+    entered = threading.Semaphore(0)
 
     def call(point) -> float | None:
-        nonlocal pending_starts
         if stop.is_set():
             return None
-        with lock:
-            pending_starts -= 1
-            if pending_starts == 0:
-                started.set()
+        entered.release()
         try:
             value = float(objective(point))
             if not math.isfinite(value):
@@ -201,7 +197,7 @@ def evaluate_batch(
             return value
         except BaseException:
             stop.set()
-            started.set()
+            entered.release(workers)
             raise
 
     futures = []
@@ -209,7 +205,8 @@ def evaluate_batch(
         for point in points:
             futures.append(pool.submit(call, point))
         if meanwhile is not None and futures:
-            started.wait()
+            for _ in range(min(workers, len(points))):
+                entered.acquire()
             if not stop.is_set():
                 meanwhile()
         wait(futures)

@@ -57,8 +57,8 @@ _DISTRO_BLAS_NAMES = ("libopenblas.so.0", "libopenblasp.so.0", "libopenblaso.so.
 
 
 class SingularFitError(RuntimeError):
-    """The interpolation system is singular or hopelessly ill-conditioned,
-    usually a sign of duplicate centers or degenerate geometry."""
+    """The interpolation system is singular or hopelessly ill-conditioned, usually
+    from duplicate centers or degenerate geometry, or its solution is not finite."""
 
 
 @dataclass(frozen=True)
@@ -424,7 +424,8 @@ def _solve_augmented(system: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
         return _refined_solve(nudged_system, _factor(nudged_system)[0], rhs)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SingularFitError(
-            f"interpolation system is singular (1-norm condition estimate {condition:.3e})"
+            f"interpolation system could not be solved "
+            f"(1-norm condition estimate {condition:.3e})"
         ) from exc
 
 

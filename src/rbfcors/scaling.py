@@ -91,8 +91,8 @@ class ObjectiveRescaler:
     """
 
     threshold: float
-    degenerate: bool = False
-    anchor: float = 0.0
+    degenerate: bool
+    anchor: float
 
     def rescale(self, value: float) -> float:
         value = float(value)

@@ -167,7 +167,7 @@ def test_acceptance_4_multimodal_minimum_located():
     minimizer (within 0.1) in at least 8 of 10 seeds."""
     start = time.perf_counter()
     objective = builtin("multimodal")
-    domain = BoundedDomain(objective.lower, objective.upper)
+    domain = objective.domain
     oracle_x, _ = grid_oracle(objective, 1001)
 
     distances = []
@@ -299,7 +299,7 @@ def test_acceptance_8_maximize_by_negation():
     same points, f_raw, f_scaled, radii and fallbacks byte for byte, and
     best_f is f at best_x."""
     obj = builtin("multimodal")
-    domain = BoundedDomain(obj.lower, obj.upper)
+    domain = obj.domain
     settings = dict(n_init=10, n_iter=20, batch_size=2, seed=11)
     maximized = run(obj.evaluate, domain, OptimizationConfig(**settings, maximize=True))
     negated = run(lambda x: -obj.evaluate(x), domain, OptimizationConfig(**settings))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from rbfcors import BoundedDomain
 from rbfcors.benchmarks import (
     NamedObjective,
     builtin,
@@ -96,13 +97,13 @@ class TestBuiltin:
         for name in ("multimodal", "valley", "sphere"):
             obj = builtin(name)
             assert obj.name == name
-            assert obj.dim == 2
-            np.testing.assert_array_equal(obj.lower, np.zeros(2))
-            np.testing.assert_array_equal(obj.upper, np.ones(2))
+            assert obj.domain.dim == 2
+            np.testing.assert_array_equal(obj.domain.lower, np.zeros(2))
+            np.testing.assert_array_equal(obj.domain.upper, np.ones(2))
 
     def test_sphere_dimension_parameter(self):
         obj = builtin("sphere", dim=5)
-        assert obj.dim == 5
+        assert obj.domain.dim == 5
         assert obj.evaluate(np.full(5, 0.5)) == 0.0
 
     def test_unknown_name(self):
@@ -128,9 +129,7 @@ class TestGridOracle:
     def test_tie_breaks_lexicographically_first(self):
         flat = NamedObjective(
             name="flat",
-            dim=2,
-            lower=np.zeros(2),
-            upper=np.ones(2),
+            domain=BoundedDomain(np.zeros(2), np.ones(2)),
             evaluate=lambda p: 1.0,
             evaluate_many=lambda pts: np.ones(pts.shape[0]),
         )
@@ -141,10 +140,9 @@ class TestGridOracle:
     def test_dimension_guard(self):
         big = NamedObjective(
             name="big",
-            dim=4,
-            lower=np.zeros(4),
-            upper=np.ones(4),
+            domain=BoundedDomain(np.zeros(4), np.ones(4)),
             evaluate=lambda p: 0.0,
+            evaluate_many=lambda pts: np.zeros(pts.shape[0]),
         )
         with pytest.raises(ValueError):
             grid_oracle(big, 11)
@@ -153,13 +151,12 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             grid_oracle(builtin("sphere"), 1)
 
-    def test_scalar_fallback_when_no_batch_evaluator(self):
+    def test_one_dimensional_objective(self):
         obj = NamedObjective(
             name="plain",
-            dim=1,
-            lower=np.zeros(1),
-            upper=np.ones(1),
+            domain=BoundedDomain(np.zeros(1), np.ones(1)),
             evaluate=lambda p: float((p[0] - 0.25) ** 2),
+            evaluate_many=lambda pts: (pts[:, 0] - 0.25) ** 2,
         )
         argmin, value = grid_oracle(obj, 101)
         assert argmin[0] == pytest.approx(0.25)

@@ -210,6 +210,7 @@ class TestRunCommand:
             ),
             ({}, "objective", "missing required key 'objective'", None),
             ({}, "n_init", "missing required key 'n_init'", None),
+            ({"upper": [1.0, 1.0]}, None, "lower and upper must be given together", "upper"),
         ],
     )
     def test_config_error_exits_two_with_message(
@@ -231,6 +232,19 @@ class TestRunCommand:
             )
             message = f"line {line}: {message}"
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_missing_config_file_rejected(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_error_at_a_key_not_found_in_the_text_has_no_line(self, tmp_path, capsys):
+        # The escaped key decodes to n_init, but its text never reads "n_init".
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"objective": "valley", "n\\u005finit": 3, "n_iter": 5}')
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: n_init must be at least dim + 2 = 4 to fit the surface, got 3\n"
+        )
 
     def test_top_level_array_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -358,6 +372,12 @@ class TestRunCommand:
         assert spec.config.workers == 1
         assert spec.config.batch_size is None
         assert spec.history_out == "history.csv"
+
+    def test_null_optional_settings_load_as_none(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", seed=None, batch_size=None)
+        spec = load_run_config(str(cfg))
+        assert spec.config.seed is None
+        assert spec.config.batch_size is None
 
 
 class TestExternalObjective:
@@ -687,6 +707,14 @@ class TestSurfaceCommand:
 
 
 class TestFormatting:
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        out = tmp_path / "hist.csv"
+        out.write_bytes(b"old\n")
+        with pytest.raises(UnicodeEncodeError):
+            rbfcors.cli._atomic_write(str(out), "\ud800")
+        assert out.read_bytes() == b"old\n"
+        assert list(tmp_path.glob(".tmp-*.part")) == []
+
     def test_floats_round_trip(self):
         values = [0.1, 1.0 / 3.0, 1e-17, 123456.789, 0.0]
         for value in values:

@@ -441,7 +441,7 @@ class TestRun:
 
     def test_maximize_reports_unwrapped_best(self):
         obj = builtin("multimodal")
-        domain = BoundedDomain(obj.lower, obj.upper)
+        domain = obj.domain
         cfg = OptimizationConfig(n_init=12, n_iter=8, seed=11, maximize=True)
         result = run(obj.evaluate, domain, cfg)
         # best_f must equal the raw objective at the returned point.
@@ -667,7 +667,7 @@ class TestComposition:
 def multimodal_history(**settings) -> str:
     """The history CSV of a multimodal run with batch 2 on 2 workers."""
     objective = builtin("multimodal")
-    domain = BoundedDomain(objective.lower, objective.upper)
+    domain = objective.domain
     cfg = OptimizationConfig(batch_size=2, workers=2, **settings)
     return history_to_csv(run(objective.evaluate, domain, cfg).history, domain.dim)
 

@@ -20,7 +20,6 @@ from rbfcors.benchmarks import builtin
 from rbfcors.cli import history_to_csv
 from rbfcors.cors import ProposalSettings
 from rbfcors.engine import OptimizationConfig, run
-from rbfcors.scaling import BoundedDomain
 
 # name: (objective, dim, config, sha256 of the history CSV, best_f)
 PINS = {
@@ -80,8 +79,7 @@ PINS = {
 def test_history_matches_its_pin(name):
     objective_name, dim, settings, digest, best_f = PINS[name]
     objective = builtin(objective_name, dim)
-    domain = BoundedDomain(objective.lower, objective.upper)
-    result = run(objective.evaluate, domain, OptimizationConfig(**settings))
+    result = run(objective.evaluate, objective.domain, OptimizationConfig(**settings))
     csv = history_to_csv(result.history, dim)
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
     assert result.best_f == best_f

@@ -186,6 +186,19 @@ class TestConditionEstimate:
         assert getrf_calls == [(7, 7), (7, 7)]
         assert np.all(np.isfinite(model.weights))
 
+    def test_failed_solve_takes_nudge_path(self, caplog, getrf_calls):
+        # A well-conditioned system whose values are so close to overflow
+        # that the solution is not finite, with or without the nudge; the
+        # conftest turns any RuntimeWarning on the way into a failure.
+        points = np.random.default_rng(0).random((8, 2))
+        values = 1.7e308 * np.array([1, -1] * 4)
+        with caplog.at_level(logging.DEBUG, logger="rbfcors.rbf"):
+            with pytest.raises(SingularFitError, match="could not be solved"):
+                fit(points, values)
+        (record,) = caplog.records
+        assert record.getMessage().endswith("nudge fired")
+        assert getrf_calls == [(11, 11), (11, 11)]
+
     def test_debug_record_names_estimate_and_nudge(self, caplog):
         rng = np.random.default_rng(15)
         with caplog.at_level(logging.DEBUG, logger="rbfcors.rbf"):
