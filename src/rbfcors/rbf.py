@@ -45,6 +45,10 @@ _EIGENVALUE_FLOOR_RATIO = 1e-8
 # Rows of the distance matrix that cubic_kernel fills and cubes at a time:
 # at 300 centers a block and its one temporary take 1.2 MB, within a 2 MB L2.
 _ROW_BLOCK = 256
+# Rows of the kernel that fit builds, cubes and copies into its system at a
+# time: at 256 centers a block and its temporary take 0.26 MB, half the
+# system's size.
+_FIT_ROW_BLOCK = 64
 # OpenBLAS's C thread-count calls, int get(void) and void set(int), under the
 # names each build exports: numpy's wheel bundles an OpenBLAS with the 64_
 # suffix, scipy's one without, and distro builds keep the plain names.
@@ -206,10 +210,10 @@ def cubic_kernel(
     return kernel
 
 
-def _cube_in_place(dists: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
+def _cube_in_place(dists: np.ndarray, squares: np.ndarray) -> np.ndarray:
     """The cubic kernel r * (r * r) of a distance array, written over it and
-    returned; the squares go to squares, or to a new temporary the size of
-    dists.  libm pow, behind r ** 3, costs several times more."""
+    returned; the squares go to squares, an array of dists' shape.  libm
+    pow, behind r ** 3, costs several times more."""
     dists *= np.multiply(dists, dists, out=squares)
     return dists
 
@@ -225,6 +229,11 @@ def fit(points, values, scaling: np.ndarray | None = None) -> RbfModel:
     perturbation is added to the kernel block and the solve retried once;
     near-duplicate centers naturally appear late in an optimization run, when
     the exclusion radius approaches zero.
+
+    At most two arrays the size of the (n + d + 1)-square system are alive
+    at once, the retry included: the system, which the retry nudges in
+    place, and one array of LU factors.  The kernel is built straight into
+    the system, and neither array outlives the call.
 
     The factorization, solve and refinement run with OpenBLAS held at one
     thread (numpy's and scipy's copies alike), and the previous thread counts
@@ -258,16 +267,8 @@ def fit(points, values, scaling: np.ndarray | None = None) -> RbfModel:
         if not np.all(np.isfinite(array)):
             raise ValueError(f"{name} must be finite, got NaN or infinity")
 
-    scaled = pts @ T.T
-    kernel = _cube_in_place(cdist(scaled, scaled))
-    tail = np.hstack([pts, np.ones((n, 1))])
-
-    system = np.zeros((n + d + 1, n + d + 1))
-    system[:n, :n] = kernel
-    system[:n, n:] = tail
-    system[n:, :n] = tail.T
+    system = _augmented_system(pts, pts @ T.T)
     rhs = np.concatenate([vals, np.zeros(d + 1)])
-
     with _one_blas_thread.held():
         solution = _solve_augmented(system, rhs, n)
     return RbfModel(
@@ -277,6 +278,29 @@ def fit(points, values, scaling: np.ndarray | None = None) -> RbfModel:
         tail_const=float(solution[n + d]),
         scaling=T.copy(),
     )
+
+
+def _augmented_system(pts: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """The C-ordered system [[K, P], [P.T, 0]] of fit, with K the cubic
+    kernel of the scaled points and P = [pts, 1].
+
+    K goes into the system _FIT_ROW_BLOCK rows at a time: cdist fills a
+    block, which is cubed in place and copied in.  The block and its
+    temporary are released on return, before the system is factored.
+    """
+    n, d = pts.shape
+    system = np.empty((n + d + 1, n + d + 1))
+    block = np.empty((min(n, _FIT_ROW_BLOCK), n))
+    squares = np.empty_like(block)
+    for start in range(0, n, _FIT_ROW_BLOCK):
+        stop = min(start + _FIT_ROW_BLOCK, n)
+        dists = cdist(scaled[start:stop], scaled, out=block[: stop - start])
+        system[start:stop, :n] = _cube_in_place(dists, squares[: stop - start])
+    system[:n, n : n + d] = pts
+    system[:n, n + d] = 1.0
+    system[n:, :n] = system[:n, n:].T
+    system[n:, n:] = 0.0
+    return system
 
 
 def _find_openblas_controls() -> list[tuple]:
@@ -360,15 +384,25 @@ def _factor(system: np.ndarray):
     system's 1-norm condition number estimated from them by LAPACK gecon
     (Hager 1984, Higham 1988).
 
+    One new array the size of the system holds, in turn, abs(system) in C
+    order, whose column sums give the 1-norm in np.linalg.norm's summation
+    order, and a Fortran-ordered copy of the system, which dgetrf factors in
+    place; the factors are that array.  The system is left as it is.
+
     The estimate is inf, with no factors, when the system has non-finite
     entries or an exactly singular factor.
     """
     if not np.all(np.isfinite(system)):
         return None, math.inf
-    lu, piv, info = dgetrf(system)
+    scratch = np.empty(system.size)
+    magnitudes = np.abs(system, out=scratch.reshape(system.shape))
+    norm = np.add.reduce(magnitudes, axis=0).max(initial=0)
+    lu = scratch.reshape(system.shape, order="F")
+    lu[...] = system
+    lu, piv, info = dgetrf(lu, overwrite_a=True)
     if info != 0:
         return None, math.inf
-    rcond, _ = dgecon(lu, np.linalg.norm(system, 1))
+    rcond, _ = dgecon(lu, norm)
     return (lu, piv), (1.0 / rcond if rcond > 0.0 else math.inf)
 
 
@@ -399,8 +433,9 @@ def _solve_augmented(system: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
 
     The system is factored once; those factors give the 1-norm condition
     estimate and serve the solve.  An estimate above _CONDITION_LIMIT, or a
-    failed solve, factors the system again with _DIAGONAL_NUDGE added to the
-    kernel diagonal.
+    failed solve, adds _DIAGONAL_NUDGE to the kernel diagonal of the system
+    in place and factors it again once the first factors are released, so
+    the system and one array of factors are all that is ever held.
     """
     factors, condition = _factor(system)
     nudged = condition > _CONDITION_LIMIT
@@ -418,10 +453,11 @@ def _solve_augmented(system: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
     if not nudged:
         return solution
 
-    nudged_system = system.copy()
-    nudged_system[:n, :n] += _DIAGONAL_NUDGE * np.eye(n)
+    factors = None  # freed before the nudged system is factored
+    diagonal = np.arange(n)
+    system[diagonal, diagonal] += _DIAGONAL_NUDGE
     try:
-        return _refined_solve(nudged_system, _factor(nudged_system)[0], rhs)
+        return _refined_solve(system, _factor(system)[0], rhs)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SingularFitError(
             f"interpolation system could not be solved "

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
 import re
+import runpy
+import signal
+import subprocess
 import sys
 
 import numpy as np
@@ -237,6 +242,16 @@ class TestRunCommand:
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
         assert "cannot read config file" in capsys.readouterr().err
 
+    def test_module_run_as_script_exits_with_main_code(self, tmp_path, capsys, monkeypatch):
+        argv = ["rbfcors", "run", "--config", str(tmp_path / "missing.json")]
+        monkeypatch.setattr(sys, "argv", argv)
+        # Run from a fresh copy, as python -m does; the imported one stays.
+        monkeypatch.delitem(sys.modules, "rbfcors.cli")
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("rbfcors.cli", run_name="__main__")
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "cannot read config file" in capsys.readouterr().err
+
     def test_error_at_a_key_not_found_in_the_text_has_no_line(self, tmp_path, capsys):
         # The escaped key decodes to n_init, but its text never reads "n_init".
         cfg = tmp_path / "cfg.json"
@@ -380,6 +395,18 @@ class TestRunCommand:
         assert spec.config.batch_size is None
 
 
+def timing_out(proc):
+    """proc.wait, except that a wait with a timeout times out at once."""
+    wait = proc.wait
+
+    def timed_wait(timeout=None):
+        if timeout is not None:
+            raise subprocess.TimeoutExpired(proc.args, timeout)
+        return wait()
+
+    return timed_wait
+
+
 class TestExternalObjective:
     def make_script(self, tmp_path, body):
         script = tmp_path / "objective.py"
@@ -439,6 +466,43 @@ class TestExternalObjective:
         assert out.exists()
         lines = out.read_text().splitlines()
         assert 1 < len(lines) < 9  # header plus the evaluations that finished
+
+    def test_silent_exit_reported_when_its_status_wait_times_out(self, monkeypatch):
+        # The command closes its stdout but reads on, so the call meets end
+        # of file while the command is still running.
+        objective = rbfcors.cli.CommandObjective(
+            [sys.executable, "-c", "import os, sys; os.close(1); sys.stdin.read()"], slots=1
+        )
+        (proc,) = objective._procs
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(proc, "wait", timing_out(proc))
+                with pytest.raises(RuntimeError, match="exited with status None"):
+                    objective([0.5, 0.5])
+        finally:
+            objective.close()
+        assert proc.returncode == 0  # it exits once close() ends its input
+
+    def test_close_kills_a_command_that_outlives_its_input(self, monkeypatch):
+        objective = rbfcors.cli.CommandObjective(
+            [sys.executable, "-c", "import time; time.sleep(60)"], slots=1
+        )
+        (proc,) = objective._procs
+        monkeypatch.setattr(proc, "wait", timing_out(proc))
+        objective.close()
+        assert proc.returncode == -signal.SIGKILL
+        assert proc.stdin.closed and proc.stdout.closed
+
+    def test_close_goes_on_when_closing_stdin_fails(self):
+        objective = rbfcors.cli.CommandObjective([sys.executable, "-c", "pass"], slots=1)
+        (proc,) = objective._procs
+        proc.wait(timeout=30.0)
+        # Buffered until close() flushes it into the dead command's pipe,
+        # which raises BrokenPipeError.
+        proc.stdin.write("0.5 0.5\n")
+        objective.close()
+        assert proc.returncode == 0
+        assert proc.stdin.closed and proc.stdout.closed
 
     def test_missing_command_exits_three(self, tmp_path, capsys):
         cfg = write_config(
@@ -714,6 +778,29 @@ class TestFormatting:
             rbfcors.cli._atomic_write(str(out), "\ud800")
         assert out.read_bytes() == b"old\n"
         assert list(tmp_path.glob(".tmp-*.part")) == []
+
+    def test_temporary_file_failure_names_the_path(self, tmp_path, monkeypatch):
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(rbfcors.cli.tempfile, "mkstemp", full)
+        out = tmp_path / "hist.csv"
+        message = f"cannot write {re.escape(str(out))}: {os.strerror(errno.ENOSPC)}"
+        with pytest.raises(rbfcors.cli.ConfigError, match=message):
+            rbfcors.cli._atomic_write(str(out), "text")
+        assert not out.exists()
+
+    def test_failed_cleanup_keeps_the_original_error(self, tmp_path, monkeypatch):
+        def refused(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        out = tmp_path / "hist.csv"
+        out.write_bytes(b"old\n")
+        monkeypatch.setattr(rbfcors.cli.os, "unlink", refused)
+        with pytest.raises(UnicodeEncodeError):
+            rbfcors.cli._atomic_write(str(out), "\ud800")
+        assert out.read_bytes() == b"old\n"
+        assert len(list(tmp_path.glob(".tmp-*.part"))) == 1  # the unlink failed
 
     def test_floats_round_trip(self):
         values = [0.1, 1.0 / 3.0, 1e-17, 123456.789, 0.0]

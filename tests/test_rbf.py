@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgecon, dgetrf
 from scipy.spatial.distance import cdist
 
 import rbfcors.rbf
@@ -212,6 +213,115 @@ class TestConditionEstimate:
         )
 
 
+def reference_solve(points, values, scaling):
+    """Weights, tail, condition estimate and the inputs of each gecon call,
+    (factors, 1-norm), from the plain assembly that fit must match: one full
+    kernel matrix, dgetrf's own Fortran copy, np.linalg.norm for the 1-norm,
+    and the nudge made on a copy of the system with an identity matrix."""
+    n, d = points.shape
+    scaled = points @ scaling.T
+    kernel = cdist(scaled, scaled)
+    kernel *= kernel * kernel
+    tail = np.hstack([points, np.ones((n, 1))])
+    system = np.zeros((n + d + 1, n + d + 1))
+    system[:n, :n] = kernel
+    system[:n, n:] = tail
+    system[n:, :n] = tail.T
+    rhs = np.concatenate([values, np.zeros(d + 1)])
+    gecon_inputs = []
+
+    def factor(system):
+        lu, piv, info = dgetrf(system)
+        assert info == 0
+        gecon_inputs.append((lu, np.linalg.norm(system, 1)))
+        rcond, _ = dgecon(*gecon_inputs[-1])
+        return (lu, piv), 1.0 / rcond
+
+    factors, condition = factor(system)
+    if condition > rbfcors.rbf._CONDITION_LIMIT:
+        system = system.copy()
+        system[:n, :n] += rbfcors.rbf._DIAGONAL_NUDGE * np.eye(n)
+        factors, _ = factor(system)
+    solution = rbfcors.rbf._refined_solve(system, factors, rhs)
+    return solution[:n], solution[n : n + d], solution[n + d], condition, gecon_inputs
+
+
+def near_duplicate_instance(n):
+    """n random points in the unit square whose first two lie 5e-10 apart, so
+    that the fit takes the nudge path."""
+    rng = np.random.default_rng(22)
+    points, values = random_instance(rng, 2, n)
+    points[1] = points[0] + [0.0, 5e-10]
+    return points, values
+
+
+class TestSystemInPlace:
+    @pytest.mark.parametrize("nudged", [False, True])
+    def test_fit_holds_at_most_two_system_sized_arrays(self, nudged, caplog):
+        # The system and one array of factors, the nudged retry included.
+        n = 256
+        if nudged:
+            points, values = near_duplicate_instance(n)
+        else:
+            points, values = random_instance(np.random.default_rng(23), 2, n)
+        fit(points, values)  # BLAS controls and lazy imports are set up outside the trace
+        with caplog.at_level(logging.DEBUG, logger="rbfcors.rbf"):
+            tracemalloc.start()
+            try:
+                fit(points, values)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        (record,) = caplog.records
+        assert record.getMessage().endswith("nudge fired" if nudged else "nudge not fired")
+        assert peak <= 2.5 * (n + 3) ** 2 * 8
+
+    @pytest.mark.parametrize(
+        "points, values, scaling",
+        [
+            (*random_instance(np.random.default_rng(24), 1, 40), np.eye(1)),
+            (*random_instance(np.random.default_rng(25), 2, 64), np.eye(2)),
+            (
+                *random_instance(np.random.default_rng(26), 2, 256),
+                np.array([[3.0, 1.0], [0.5, 2.0]]),
+            ),
+            (*random_instance(np.random.default_rng(27), 3, 129), np.diag([1.0, 4.0, 0.25])),
+            (NEAR_DUPLICATE_POINTS, NEAR_DUPLICATE_VALUES, np.eye(2)),
+            (*near_duplicate_instance(200), np.eye(2)),
+        ],
+        ids=["1d-40", "2d-64", "2d-256-scaled", "3d-129-scaled", "nudged-4", "nudged-200"],
+    )
+    def test_matches_copy_based_fit_bitwise(
+        self, points, values, scaling, caplog, monkeypatch
+    ):
+        # gecon's workspace is allocated by its wrapper, and on this system
+        # family its estimate can move in the last bit with that workspace's
+        # address from call to call.  So gecon's inputs are compared bitwise
+        # and its estimate to within a few units in the last place.
+        gecon_inputs = []
+
+        def recorded(lu, norm):
+            gecon_inputs.append((lu.copy(), norm))
+            return dgecon(lu, norm)
+
+        with rbfcors.rbf._one_blas_thread.held():
+            weights, linear, const, condition, expected = reference_solve(
+                points, values, scaling
+            )
+        monkeypatch.setattr(rbfcors.rbf, "dgecon", recorded)
+        with caplog.at_level(logging.DEBUG, logger="rbfcors.rbf"):
+            model = fit(points, values, scaling=scaling)
+        (record,) = caplog.records
+        np.testing.assert_array_equal(model.weights, weights)
+        np.testing.assert_array_equal(model.tail_linear, linear)
+        assert model.tail_const == const
+        assert len(gecon_inputs) == len(expected)
+        for (lu, norm), (expected_lu, expected_norm) in zip(gecon_inputs, expected):
+            np.testing.assert_array_equal(lu, expected_lu)
+            assert norm == expected_norm
+        assert record.args[1] == pytest.approx(condition, rel=1e-15, abs=0.0)
+
+
 # Every point on the line x_1 = x_2: the linear tail is rank-deficient, so
 # the system stays singular even after the diagonal nudge.
 COLLINEAR_POINTS = np.array([[0.0, 0.0], [0.25, 0.25], [0.5, 0.5], [1.0, 1.0]])
@@ -371,6 +481,18 @@ class TestBlasThreadScope:
         assert blas_threads.counts() == prior
         missing = [r for r in caplog.records if "no OpenBLAS" in r.getMessage()]
         assert len(missing) == 1 and missing[0].levelno == logging.DEBUG
+
+    def test_no_controls_without_rtld_noload(self, monkeypatch):
+        # Platforms without RTLD_NOLOAD cannot look a library up without
+        # loading it, so no control is bound and fits run as they are.
+        monkeypatch.delattr(rbfcors.rbf.os, "RTLD_NOLOAD", raising=False)
+        assert rbfcors.rbf._find_openblas_controls() == []
+        scope = rbfcors.rbf._BlasThreadScope()
+        monkeypatch.setattr(rbfcors.rbf, "_one_blas_thread", scope)
+        points, values = random_instance(np.random.default_rng(28), 2, 15)
+        model = fit(points, values)
+        np.testing.assert_allclose(model.evaluate_many(points), values, atol=1e-8)
+        assert scope.controls == []
 
 
 def cloud_for(model, cloud_size, rng):

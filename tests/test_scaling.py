@@ -43,6 +43,10 @@ class TestBoundedDomain:
         assert domain.dim == 2
         np.testing.assert_array_equal(domain.width, [2.0, 10.0])
 
+    def test_repr_names_both_bounds(self):
+        domain = BoundedDomain([0, -5], [2.5, 5])
+        assert repr(domain) == "BoundedDomain(lower=[0.0, -5.0], upper=[2.5, 5.0])"
+
 
 class TestFitRescaler:
     def test_threshold_is_quantile_order_statistic(self):
