@@ -102,7 +102,10 @@ def _json_value(raw: str, key: str, value, kind):
         return _settings_from_json(raw, kind, value)
     base = next(t for t in (*typing.get_args(kind), kind) if t in (bool, int, float))
     _check_type(raw, key, value, (int, float) if base is float else (base,))
-    return base(value)
+    try:
+        return base(value)
+    except OverflowError:
+        raise _located(raw, key, f"key {key!r} is too large for a float")
 
 
 def _settings_from_json(raw: str, cls, doc: dict):
@@ -198,6 +201,8 @@ def _resolve_objective(raw: str, values: dict) -> tuple[NamedObjective | list[st
             bounds.append(np.asarray(values[key], dtype=float))
         except (TypeError, ValueError):
             raise _located(raw, key, f"{key} must be an array of numbers")
+        except OverflowError:
+            raise _located(raw, key, f"{key} has an entry too large for a float")
     try:
         domain = BoundedDomain(*bounds)
     except ValueError as err:

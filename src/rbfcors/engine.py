@@ -289,18 +289,18 @@ def _evaluate_into(
     """Evaluate unit points as one batch and append a record per value.
 
     Without proposals the points are the initial design, recorded unscaled
-    and without a radius.  f_raw is the returned value, negated when
-    maximizing.  pool and meanwhile are handed to evaluate_batch.  On
-    failure, every call in the batch that returned a finite value is
-    recorded at its true index before ObjectiveError carries the history
-    out.
+    and without a radius.  Each record maps its unit point afresh, so the
+    objective may write into the point it was given.  f_raw is the returned
+    value, negated when maximizing.  pool and meanwhile are handed to
+    evaluate_batch.  On failure, every call in the batch that returned a
+    finite value is recorded at its true index before ObjectiveError
+    carries the history out.
     """
-    originals = [domain.from_unit(x) for x in units]
+    points = [domain.from_unit(x) for x in units]
     failure: BatchEvaluationError | None = None
     try:
-        values = dict(
-            enumerate(evaluate_batch(objective, originals, pool, config.workers, meanwhile))
-        )
+        values = evaluate_batch(objective, points, pool, config.workers, meanwhile)
+        values = dict(enumerate(values))
     except BatchEvaluationError as err:
         failure, values = err, err.completed
     start = len(history)
@@ -312,7 +312,7 @@ def _evaluate_into(
                 stage="initial" if prop is None else "subsequent",
                 index=start + pos,
                 x_unit=units[pos].copy(),
-                x_original=originals[pos],
+                x_original=domain.from_unit(units[pos]),
                 value=value,
                 f_raw=f_raw,
                 f_scaled=None if rescaler is None else rescaler.rescale(f_raw),

@@ -45,9 +45,8 @@ _EIGENVALUE_FLOOR_RATIO = 1e-8
 # Rows of the distance matrix that cubic_kernel fills and cubes at a time:
 # at 300 centers a block and its one temporary take 1.2 MB, within a 2 MB L2.
 _ROW_BLOCK = 256
-# Rows of the kernel that fit builds, cubes and copies into its system at a
-# time: at 256 centers a block and its temporary take 0.26 MB, half the
-# system's size.
+# Rows of its kernel that fit builds at a time: at 256 centers a block and
+# its temporary take 0.26 MB, half the system's size.
 _FIT_ROW_BLOCK = 64
 # OpenBLAS's C thread-count calls, int get(void) and void set(int), under the
 # names each build exports: numpy's wheel bundles an OpenBLAS with the 64_
@@ -76,10 +75,6 @@ class RbfModel:
 
     The scaled centers (centers @ T.T) are computed once on construction,
     which is why the model is frozen.
-
-    The kernel r^3 is computed as r * (r * r), in fit and in evaluation
-    alike.  It differs from r ** 3 (libm pow) in the last bit for about a
-    quarter of the terms and costs a fraction of it.
     """
 
     centers: np.ndarray
@@ -179,43 +174,42 @@ def kernel_workspace(rows: int, centers: int) -> np.ndarray:
     pass (glibc 2.36, 2 vCPU), peak RSS reached 113 MB that way against
     96 MB with the map.
     """
-    size = (rows + min(rows, _ROW_BLOCK)) * centers
+    size = _kernel_entries(rows, centers)
     return np.frombuffer(mmap.mmap(-1, max(size, 1) * 8), dtype=np.float64)[:size]
+
+
+def _kernel_entries(m: int, n: int) -> int:
+    """Entries of cubic_kernel's buffer for an (m, n) kernel and its block temporary."""
+    return (m + min(m, _ROW_BLOCK)) * n
 
 
 def cubic_kernel(
     points: np.ndarray, centers: np.ndarray, buf: np.ndarray | None = None
 ) -> np.ndarray:
-    """The (m, n) matrix of cubed distances between the rows of two arrays.
+    """The (m, n) matrix of cubed distances between the rows of two arrays,
+    for fit and evaluation alike: the only builder of a cubic kernel.
 
     The matrix is filled _ROW_BLOCK rows at a time: each block of distances
-    is cubed in place by multiplication while it is still in cache, with
-    one block-sized temporary for the squares.  The matrix is the view
-    buf[:m * n].reshape(m, n) of a flat float64 array from kernel_workspace,
-    and the temporary follows it.  Given buf, the caller must be done with
-    any kernel an earlier call built there; without it, a new one is
-    allocated.
+    r is cubed in place as r * (r * r) while it is still in cache, with one
+    block-sized temporary for the squares.  That differs from r ** 3 (libm
+    pow) in the last bit for about a quarter of the terms and costs a
+    fraction of it.  The matrix is the view buf[:m * n].reshape(m, n) of a
+    flat float64 array of _kernel_entries(m, n) or more entries, and the
+    temporary follows it.  Given buf, the caller must be done with any
+    kernel an earlier call built there; without it, a new one is allocated.
     """
     m, n = points.shape[0], centers.shape[0]
-    size, block = m * n, min(m, _ROW_BLOCK) * n
+    size, needed = m * n, _kernel_entries(m, n)
     if buf is None:
-        buf = np.empty(size + block)
-    elif buf.size < size + block:
+        buf = np.empty(needed)
+    elif buf.size < needed:
         raise ValueError(f"workspace of {buf.size} entries cannot hold a {m}x{n} kernel")
-    kernel, squares = buf[:size].reshape(m, n), buf[size : size + block]
+    kernel, squares = buf[:size].reshape(m, n), buf[size:needed]
     for start in range(0, m, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         dists = cdist(points[rows], centers, out=kernel[rows])
-        _cube_in_place(dists, squares[: dists.size].reshape(dists.shape))
+        dists *= np.multiply(dists, dists, out=squares[: dists.size].reshape(dists.shape))
     return kernel
-
-
-def _cube_in_place(dists: np.ndarray, squares: np.ndarray) -> np.ndarray:
-    """The cubic kernel r * (r * r) of a distance array, written over it and
-    returned; the squares go to squares, an array of dists' shape.  libm
-    pow, behind r ** 3, costs several times more."""
-    dists *= np.multiply(dists, dists, out=squares)
-    return dists
 
 
 def fit(points, values, scaling: np.ndarray | None = None) -> RbfModel:
@@ -225,15 +219,14 @@ def fit(points, values, scaling: np.ndarray | None = None) -> RbfModel:
     square and generically nonsingular; points, values and scaling must be
     finite.  The system is LU-factored once, and LAPACK's estimate of its
     1-norm condition number comes from those factors.
-    If the estimate exceeds 1e12 (or the solve fails) a tiny diagonal
-    perturbation is added to the kernel block and the solve retried once;
-    near-duplicate centers naturally appear late in an optimization run, when
-    the exclusion radius approaches zero.
+    If the estimate exceeds 1e12, or the solve stops being finite, a tiny
+    diagonal perturbation is added to the kernel block and the solve retried
+    once; near-duplicate centers naturally appear late in an optimization
+    run, when the exclusion radius approaches zero.
 
     At most two arrays the size of the (n + d + 1)-square system are alive
     at once, the retry included: the system, which the retry nudges in
-    place, and one array of LU factors.  The kernel is built straight into
-    the system, and neither array outlives the call.
+    place, and one array of LU factors; neither outlives the call.
 
     The factorization, solve and refinement run with OpenBLAS held at one
     thread (numpy's and scipy's copies alike), and the previous thread counts
@@ -284,18 +277,16 @@ def _augmented_system(pts: np.ndarray, scaled: np.ndarray) -> np.ndarray:
     """The C-ordered system [[K, P], [P.T, 0]] of fit, with K the cubic
     kernel of the scaled points and P = [pts, 1].
 
-    K goes into the system _FIT_ROW_BLOCK rows at a time: cdist fills a
-    block, which is cubed in place and copied in.  The block and its
-    temporary are released on return, before the system is factored.
+    K goes in _FIT_ROW_BLOCK rows at a time, each slice built by cubic_kernel
+    in one scratch array that is freed on return, before the system is
+    factored.
     """
     n, d = pts.shape
     system = np.empty((n + d + 1, n + d + 1))
-    block = np.empty((min(n, _FIT_ROW_BLOCK), n))
-    squares = np.empty_like(block)
+    scratch = np.empty(_kernel_entries(min(n, _FIT_ROW_BLOCK), n))
     for start in range(0, n, _FIT_ROW_BLOCK):
-        stop = min(start + _FIT_ROW_BLOCK, n)
-        dists = cdist(scaled[start:stop], scaled, out=block[: stop - start])
-        system[start:stop, :n] = _cube_in_place(dists, squares[: stop - start])
+        rows = slice(start, min(start + _FIT_ROW_BLOCK, n))
+        system[rows, :n] = cubic_kernel(scaled[rows], scaled, scratch)
     system[:n, n : n + d] = pts
     system[:n, n + d] = 1.0
     system[n:, :n] = system[:n, n:].T
@@ -406,8 +397,10 @@ def _factor(system: np.ndarray):
     return (lu, piv), (1.0 / rcond if rcond > 0.0 else math.inf)
 
 
-def _refined_solve(system: np.ndarray, factors, rhs: np.ndarray) -> np.ndarray:
-    """LU solve followed by iterative refinement on the same factors.
+def _refined_solve(system: np.ndarray, factors, rhs: np.ndarray) -> np.ndarray | None:
+    """LU solve followed by iterative refinement on the same factors; None
+    when there are no factors or the solution or a residual stops being
+    finite, so lu_solve skips its own finiteness checks.
 
     The cubic kernel can push the condition number to 1e10 and beyond for
     tightly clustered centers, where a single LU pass leaves residuals far
@@ -415,17 +408,19 @@ def _refined_solve(system: np.ndarray, factors, rhs: np.ndarray) -> np.ndarray:
     factorization recover it.
     """
     if factors is None:
-        raise np.linalg.LinAlgError("system is singular or not finite")
-    solution = lu_solve(factors, rhs)
-    if not np.all(np.isfinite(solution)):
-        raise np.linalg.LinAlgError("factorization produced non-finite solution")
+        return None
+    solution = lu_solve(factors, rhs, check_finite=False)
     for _ in range(3):
+        if not np.all(np.isfinite(solution)):
+            return None
         residual = rhs - system @ solution
-        correction = lu_solve(factors, residual)
+        if not np.all(np.isfinite(residual)):
+            return None
+        correction = lu_solve(factors, residual, check_finite=False)
         solution = solution + correction
         if np.abs(correction).max() <= 1e-14 * max(1.0, np.abs(solution).max()):
             break
-    return solution
+    return solution if np.all(np.isfinite(solution)) else None
 
 
 def _solve_augmented(system: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
@@ -433,36 +428,31 @@ def _solve_augmented(system: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
 
     The system is factored once; those factors give the 1-norm condition
     estimate and serve the solve.  An estimate above _CONDITION_LIMIT, or a
-    failed solve, adds _DIAGONAL_NUDGE to the kernel diagonal of the system
-    in place and factors it again once the first factors are released, so
-    the system and one array of factors are all that is ever held.
+    solve that gives None, adds _DIAGONAL_NUDGE to the kernel diagonal in
+    place and factors the system again once the first factors are released;
+    a second None raises SingularFitError.
     """
     factors, condition = _factor(system)
-    nudged = condition > _CONDITION_LIMIT
-    if not nudged:
-        try:
-            solution = _refined_solve(system, factors, rhs)
-        except (np.linalg.LinAlgError, ValueError):
-            nudged = True
+    solution = _refined_solve(system, factors, rhs) if condition <= _CONDITION_LIMIT else None
     log.debug(
         "rbf fit: system size %d, 1-norm condition estimate %.3e, nudge %s",
         system.shape[0],
         condition,
-        "fired" if nudged else "not fired",
+        "fired" if solution is None else "not fired",
     )
-    if not nudged:
+    if solution is not None:
         return solution
 
     factors = None  # freed before the nudged system is factored
     diagonal = np.arange(n)
     system[diagonal, diagonal] += _DIAGONAL_NUDGE
-    try:
-        return _refined_solve(system, _factor(system)[0], rhs)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+    solution = _refined_solve(system, _factor(system)[0], rhs)
+    if solution is None:
         raise SingularFitError(
             f"interpolation system could not be solved "
             f"(1-norm condition estimate {condition:.3e})"
-        ) from exc
+        )
+    return solution
 
 
 def compute_space_scaling(

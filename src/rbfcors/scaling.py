@@ -18,7 +18,7 @@ import numpy as np
 class BoundedDomain:
     """Axis-aligned box of variable ranges with a bijection to the unit cube.
 
-    Each variable i lives in [lower_i, upper_i] with strictly positive width.
+    Each variable i lives in [lower_i, upper_i] with strictly positive, finite width.
     """
 
     def __init__(self, lower: Sequence[float], upper: Sequence[float]):
@@ -34,20 +34,21 @@ class BoundedDomain:
             raise ValueError("domain needs at least one variable")
         if not np.all(np.isfinite(self.lower)) or not np.all(np.isfinite(self.upper)):
             raise ValueError("bounds must be finite")
-        if not np.all(self.upper > self.lower):
-            bad = int(np.argmin(self.upper - self.lower))
+        with np.errstate(over="ignore"):
+            width = self.upper - self.lower
+        if not np.all(width > 0):
+            bad = int(np.argmin(width))
             raise ValueError(
                 f"upper bound must exceed lower bound for every variable; "
                 f"variable {bad} has range [{self.lower[bad]}, {self.upper[bad]}]"
             )
+        if not np.all(np.isfinite(width)):
+            raise ValueError(f"bound widths must be finite, got {width.tolist()}")
+        self.width = width
 
     @property
     def dim(self) -> int:
         return int(self.lower.size)
-
-    @property
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
 
     def to_unit(self, v: Sequence[float]) -> np.ndarray:
         """Map a point in original units onto the unit cube.

@@ -216,6 +216,18 @@ class TestRunCommand:
             ({}, "objective", "missing required key 'objective'", None),
             ({}, "n_init", "missing required key 'n_init'", None),
             ({"upper": [1.0, 1.0]}, None, "lower and upper must be given together", "upper"),
+            (
+                {"keep_fraction": 10**400},
+                None,
+                "key 'keep_fraction' is too large for a float",
+                "keep_fraction",
+            ),
+            (
+                {"lower": [0.0, 0.0], "upper": [1.0, 10**400]},
+                None,
+                "upper has an entry too large for a float",
+                "upper",
+            ),
         ],
     )
     def test_config_error_exits_two_with_message(

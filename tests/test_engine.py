@@ -277,6 +277,20 @@ class TestRun:
         # Optimum of the shifted sphere is at (-1, 7).
         assert np.linalg.norm(result.best_x - np.array([-1.0, 7.0])) < 0.3
 
+    def test_objective_writing_into_its_argument_leaves_history_alone(self):
+        def overwriting(x):
+            value = sphere_objective(x)
+            x[:] = 99.0
+            return value
+
+        cfg = OptimizationConfig(n_init=6, n_iter=4, batch_size=2, seed=4)
+        result = run(overwriting, unit_domain(), cfg)
+        expected = run(sphere_objective, unit_domain(), cfg)
+        assert history_to_csv(result.history, 2) == history_to_csv(expected.history, 2)
+        for rec in result.history:
+            np.testing.assert_array_equal(rec.x_original, rec.x_unit)
+        np.testing.assert_array_equal(result.best_x, expected.best_x)
+
     def test_scaled_values_match_rescaler(self):
         cfg = OptimizationConfig(n_init=8, n_iter=4, seed=5)
         result = run(sphere_objective, unit_domain(), cfg)

@@ -18,6 +18,7 @@ SCHEDULE = RadiusSchedule(initial_density=0.75, decay_exponent=1.0, total_iters=
     [
         (lambda: BoundedDomain(np.zeros((2, 2)), np.ones((2, 2))), "one-dimensional"),
         (lambda: BoundedDomain([], []), "at least one variable"),
+        (lambda: BoundedDomain([-1e308], [1e308]), "bound widths must be finite"),
         (lambda: UNIT_SQUARE.to_unit([0.5, 0.5, 0.5]), "vector of length 2"),
         (lambda: UNIT_SQUARE.from_unit([0.5]), "vector of length 2"),
         (lambda: fit_rescaler([], 0.75), "non-empty vector"),
@@ -37,6 +38,7 @@ SCHEDULE = RadiusSchedule(initial_density=0.75, decay_exponent=1.0, total_iters=
     ids=[
         "domain-2d-bounds",
         "domain-empty",
+        "domain-width-overflow",
         "to_unit-shape",
         "from_unit-shape",
         "rescaler-empty",

@@ -200,6 +200,42 @@ class TestConditionEstimate:
         assert record.getMessage().endswith("nudge fired")
         assert getrf_calls == [(11, 11), (11, 11)]
 
+    def test_refinement_that_stops_being_finite_takes_nudge_path(
+        self, caplog, monkeypatch, getrf_calls
+    ):
+        # On the first factors, two corrections too large to converge and
+        # then an infinite one: the refined solution is not finite at the
+        # last sweep, so it is not returned.
+        calls = []
+        solve = rbfcors.rbf.lu_solve
+
+        def diverging(factors, b, **kwargs):
+            calls.append(b)
+            if len(calls) in (2, 3):
+                return np.full_like(b, 1e-3)
+            if len(calls) == 4:
+                return np.full_like(b, np.inf)
+            return solve(factors, b, **kwargs)
+
+        monkeypatch.setattr(rbfcors.rbf, "lu_solve", diverging)
+        points, values = random_instance(np.random.default_rng(16), 2, 12)
+        with caplog.at_level(logging.DEBUG, logger="rbfcors.rbf"):
+            model = fit(points, values)
+        (record,) = caplog.records
+        assert record.getMessage().endswith("nudge fired")
+        assert getrf_calls == [(15, 15), (15, 15)]
+        assert np.all(np.isfinite(model.weights))
+
+    def test_unrelated_solve_error_reaches_the_caller(self, monkeypatch):
+        # Only a solve that is not finite takes the nudge path; any other
+        # error is a fault and must not turn into a SingularFitError.
+        def broken(*args, **kwargs):
+            raise ValueError("unrelated")
+
+        monkeypatch.setattr(rbfcors.rbf, "lu_solve", broken)
+        with pytest.raises(ValueError, match="^unrelated$"):
+            fit(*random_instance(np.random.default_rng(17), 2, 12))
+
     def test_debug_record_names_estimate_and_nudge(self, caplog):
         rng = np.random.default_rng(15)
         with caplog.at_level(logging.DEBUG, logger="rbfcors.rbf"):
