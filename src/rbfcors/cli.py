@@ -94,7 +94,8 @@ def _check_type(raw: str, key: str, value, accepted: tuple) -> None:
 
 def _json_value(raw: str, key: str, value, kind):
     """Check a JSON value against a settings field's annotation and convert
-    it; integers are accepted for float fields and stored as float."""
+    it; integers are accepted for float fields and stored as float, and an
+    integer field takes no value above sys.maxsize."""
     if value is None and type(None) in typing.get_args(kind):
         return None
     if is_dataclass(kind):
@@ -102,6 +103,8 @@ def _json_value(raw: str, key: str, value, kind):
         return _settings_from_json(raw, kind, value)
     base = next(t for t in (*typing.get_args(kind), kind) if t in (bool, int, float))
     _check_type(raw, key, value, (int, float) if base is float else (base,))
+    if base is int and value > sys.maxsize:
+        raise _located(raw, key, f"key {key!r} must be at most {sys.maxsize}")
     try:
         return base(value)
     except OverflowError:

@@ -248,7 +248,7 @@ def fit(points, values, scaling: np.ndarray | None = None) -> RbfModel:
         raise ValueError(f"expected {n} values, got shape {vals.shape}")
     if n < d + 2:
         raise ValueError(f"need at least d + 2 = {d + 2} points to fit in dimension {d}, got {n}")
-    if float(pdist(pts).min()) < MIN_CENTER_SEPARATION:
+    if math.sqrt(pdist(pts, "sqeuclidean").min()) < MIN_CENTER_SEPARATION:
         raise SingularFitError(
             f"duplicate centers: minimum pairwise distance below {MIN_CENTER_SEPARATION:g}"
         )

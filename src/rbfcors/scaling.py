@@ -100,7 +100,12 @@ class ObjectiveRescaler:
         if self.degenerate:
             return 0.0 if value <= self.threshold else 1.0
         if value < self.threshold:
-            return (value - self.anchor) / (self.threshold - self.anchor)
+            span = self.threshold - self.anchor
+            if math.isinf(span):
+                # Both differences can overflow; halving every term keeps
+                # the ratio and brings both into range.
+                return (value / 2 - self.anchor / 2) / (self.threshold / 2 - self.anchor / 2)
+            return (value - self.anchor) / span
         return 1.0
 
 

@@ -228,6 +228,25 @@ class TestRunCommand:
                 "upper has an entry too large for a float",
                 "upper",
             ),
+            ({"n_iter": 10**400}, None, f"key 'n_iter' must be at most {sys.maxsize}", "n_iter"),
+            (
+                {"cloud_size": 10**400},
+                None,
+                f"key 'cloud_size' must be at most {sys.maxsize}",
+                "cloud_size",
+            ),
+            (
+                {"proposal": {"uniform_per_dim": 10**400}},
+                None,
+                f"key 'uniform_per_dim' must be at most {sys.maxsize}",
+                "uniform_per_dim",
+            ),
+            (
+                {"seed": sys.maxsize + 1},
+                None,
+                f"key 'seed' must be at most {sys.maxsize}",
+                "seed",
+            ),
         ],
     )
     def test_config_error_exits_two_with_message(

@@ -244,6 +244,26 @@ class TestMinCenterDistance:
         expected = cdist(points, centers).min(axis=1, initial=math.inf)
         np.testing.assert_array_equal(_min_center_distance(points, centers), expected)
 
+    @pytest.mark.parametrize("dim", [1, 2, 10])
+    @pytest.mark.parametrize("n_points, n_centers", [(5, 60), (3000, 60)])
+    def test_matches_euclidean_cdist_bitwise_in_any_dimension(self, dim, n_points, n_centers):
+        # The scan reduces squared distances and takes one square root per
+        # point; that is bitwise the minimum of the Euclidean distances.
+        rng = np.random.default_rng(dim * n_points)
+        points, centers = rng.random((n_points, dim)), rng.random((n_centers, dim))
+        expected = cdist(points, centers).min(axis=1, initial=math.inf)
+        np.testing.assert_array_equal(_min_center_distance(points, centers), expected)
+
+    @pytest.mark.parametrize("n_points", [1, 500])
+    def test_point_on_a_center_is_exactly_zero_away(self, n_points):
+        rng = np.random.default_rng(n_points)
+        centers = rng.random((8, 2))
+        points = rng.random((n_points, 2))
+        points[-1] = centers[3]
+        nearest = _min_center_distance(points, centers)
+        assert nearest[-1] == 0.0
+        assert np.all(nearest[:-1] > 0.0)
+
 
 def sequential_pattern_search(model, x, fx, centers, radius, settings):
     """The pattern search polling one trial at a time: the polled search

@@ -16,6 +16,7 @@ from scipy.spatial.distance import cdist
 
 import rbfcors.rbf
 from rbfcors.rbf import (
+    MIN_CENTER_SEPARATION,
     RbfModel,
     SingularFitError,
     compute_space_scaling,
@@ -98,6 +99,21 @@ class TestFit:
         points = np.array([[0.1, 0.1], [0.5, 0.5], [0.5, 0.5], [0.9, 0.2]])
         with pytest.raises(SingularFitError):
             fit(points, np.array([1.0, 2.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_duplicate_cutoff_at_the_separation_floor(self, below):
+        # Two centers exactly MIN_CENTER_SEPARATION apart are kept, and one
+        # ulp closer they are duplicates.
+        gap = MIN_CENTER_SEPARATION
+        if below:
+            gap = np.nextafter(gap, 0.0)
+        points = np.array([[0.0, 0.2], [gap, 0.2], [0.8, 0.3], [0.4, 0.9]])
+        values = np.array([1.0, 1.0, 2.0, 3.0])
+        if below:
+            with pytest.raises(SingularFitError, match="duplicate centers"):
+                fit(points, values)
+        else:
+            assert np.all(np.isfinite(fit(points, values).weights))
 
     @pytest.mark.parametrize(
         "argument, bad",

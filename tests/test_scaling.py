@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rbfcors.engine import OptimizationConfig, run
 from rbfcors.scaling import BoundedDomain, fit_rescaler
 
 
@@ -112,6 +113,27 @@ class TestFitRescaler:
         assert rescaler.degenerate
         assert rescaler.rescale(-1.0) == 0.0
         assert rescaler.rescale(5.0) == 1.0
+
+    def test_span_that_overflows_still_maps_into_range(self):
+        # threshold - anchor and 9e307 - anchor both overflow to inf.
+        values = [-1e308, -5e307, 0.0, 9e307, 1e308, 1e308]
+        rescaler = fit_rescaler(values, 0.75)
+        assert (rescaler.anchor, rescaler.threshold) == (-1e308, 1e308)
+        assert rescaler.rescale(9e307) == 0.95
+        assert rescaler.rescale(-1e308) == 0.0
+        assert rescaler.rescale(-1.7e308) == -0.35
+        assert all(0.0 <= rescaler.rescale(v) <= 1.0 for v in values)
+
+    def test_run_with_values_spanning_the_float_range(self):
+        result = run(
+            lambda x: 1.7e308 * (2 * x[0] - 1),
+            BoundedDomain([0, 0], [1, 1]),
+            OptimizationConfig(n_init=6, n_iter=4, seed=0),
+        )
+        scaled = np.array([rec.f_scaled for rec in result.history])
+        assert len(scaled) == 10
+        assert np.all((scaled >= 0.0) & (scaled <= 1.0))
+        assert result.best_f == -1.7e308
 
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
