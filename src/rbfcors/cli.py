@@ -58,6 +58,9 @@ class ObjectiveLaunchError(Exception):
     """External objective command could not be started; exit code 3."""
 
 
+# Grid nodes per evaluate_many call in cmd_surface, which bounds its kernel.
+_SURFACE_BLOCK = 1 << 14
+
 # Run-level keys and the JSON types accepted for each; every other key is a
 # field of OptimizationConfig.
 _RUN_KEYS = {"objective": (str, list), "lower": (list,), "upper": (list,), "history_out": (str,)}
@@ -213,15 +216,11 @@ def _resolve_objective(raw: str, values: dict) -> tuple[NamedObjective | list[st
     if isinstance(objective, list):
         return objective, domain
 
-    named = builtin(objective, dim=domain.dim)
+    try:
+        named = builtin(objective, dim=domain.dim)
+    except ValueError as err:
+        raise _located(raw, "lower", str(err))
     box = named.domain
-    if domain.dim != box.dim:
-        raise _located(
-            raw,
-            "lower",
-            f"objective {objective!r} is {box.dim}-dimensional, "
-            f"bounds have {domain.dim} entries",
-        )
     if np.any(domain.lower < box.lower) or np.any(domain.upper > box.upper):
         raise _located(
             raw,
@@ -438,7 +437,9 @@ def cmd_surface(args) -> None:
     axis = np.linspace(0.0, 1.0, args.resolution)
     first, second = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([first.ravel(), second.ravel()], axis=1)
-    values = model.evaluate_many(grid).reshape(args.resolution, args.resolution)
+    blocks = range(0, len(grid), _SURFACE_BLOCK)
+    values = np.concatenate([model.evaluate_many(grid[i : i + _SURFACE_BLOCK]) for i in blocks])
+    values = values.reshape(args.resolution, args.resolution)
     lines = [
         f"# response surface on the unit square; rows: x_1 from 0 to 1, "
         f"columns: x_2 from 0 to 1, resolution={args.resolution}"

@@ -410,16 +410,18 @@ def _refined_solve(system: np.ndarray, factors, rhs: np.ndarray) -> np.ndarray |
     if factors is None:
         return None
     solution = lu_solve(factors, rhs, check_finite=False)
-    for _ in range(3):
-        if not np.all(np.isfinite(solution)):
-            return None
-        residual = rhs - system @ solution
-        if not np.all(np.isfinite(residual)):
-            return None
-        correction = lu_solve(factors, residual, check_finite=False)
-        solution = solution + correction
-        if np.abs(correction).max() <= 1e-14 * max(1.0, np.abs(solution).max()):
-            break
+    # An overflow is caught by the finiteness checks below, so it need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            if not np.all(np.isfinite(solution)):
+                return None
+            residual = rhs - system @ solution
+            if not np.all(np.isfinite(residual)):
+                return None
+            correction = lu_solve(factors, residual, check_finite=False)
+            solution = solution + correction
+            if np.abs(correction).max() <= 1e-14 * max(1.0, np.abs(solution).max()):
+                break
     return solution if np.all(np.isfinite(solution)) else None
 
 

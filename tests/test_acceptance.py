@@ -197,7 +197,7 @@ def test_acceptance_5_space_rescaling_improves_fit():
     axis = np.linspace(0.0, 1.0, 101)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    truth = np.asarray(valley(grid[:, 0], grid[:, 1]))
+    truth = valley(grid)
 
     wins = 0
     pairs = []
@@ -205,7 +205,7 @@ def test_acceptance_5_space_rescaling_improves_fit():
         rng = np.random.default_rng(seed)
         design = improve_lh(diagonal_lh(20, 2), 1000, rng)
         points = design.unit_points()
-        values = np.asarray(valley(points[:, 0], points[:, 1]))
+        values = valley(points)
         plain = fit(points, values)
         cloud = scaling_cloud(plain.centers, plain.scaling, rng, 10000)
         rescaled = refit_with_scaling(points, values, compute_space_scaling(plain, cloud, 0.05))

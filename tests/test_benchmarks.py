@@ -18,20 +18,25 @@ from rbfcors.benchmarks import (
 )
 
 
+def at(function, *point) -> float:
+    """A built-in's value at one point, through its (n, d) formula."""
+    return float(function(np.array([point]))[0])
+
+
 class TestMultimodal:
     def test_corner_values(self):
-        assert multimodal(0.0, 0.0) == pytest.approx(4.0, abs=1e-12)
-        assert multimodal(0.5, 0.5) == pytest.approx(9.0, abs=1e-12)
+        assert at(multimodal, 0.0, 0.0) == pytest.approx(4.0, abs=1e-12)
+        assert at(multimodal, 0.5, 0.5) == pytest.approx(9.0, abs=1e-12)
 
     def test_rejects_out_of_box(self):
         with pytest.raises(ValueError):
-            multimodal(1.2, 0.5)
+            multimodal([[1.2, 0.5]])
         with pytest.raises(ValueError):
-            multimodal(0.5, -0.1)
+            multimodal([[0.5, -0.1]])
 
     def test_broadcasts_over_arrays(self):
         x = np.array([0.0, 0.5])
-        out = multimodal(x, x)
+        out = multimodal(np.stack([x, x], axis=1))
         np.testing.assert_allclose(out, [4.0, 9.0], atol=1e-12)
 
     def test_global_minimum_from_stationarity(self):
@@ -41,7 +46,7 @@ class TestMultimodal:
         argmin, value = grid_oracle(builtin("multimodal"), 1001)
         assert argmin[0] == argmin[1]  # separable and symmetric
         assert abs(argmin[0] - root) <= 1e-3  # grid spacing
-        analytic = float(multimodal(root, root))
+        analytic = at(multimodal, root, root)
         assert value == pytest.approx(analytic, abs=1e-4)
         assert analytic == pytest.approx(2.3394, abs=1e-3)
 
@@ -53,16 +58,16 @@ class TestMultimodal:
         root = (math.pi - math.asin(5.0 / (4.0 * math.pi))) / (4.0 * math.pi)
         other = root + 0.5  # next period of the axis term
         for x, y in [(root, root), (root, other), (other, root), (other, other)]:
-            center = float(multimodal(x, y))
+            center = at(multimodal, x, y)
             for dx, dy in [(-1e-3, 0), (1e-3, 0), (0, -1e-3), (0, 1e-3)]:
-                assert float(multimodal(x + dx, y + dy)) > center
+                assert at(multimodal, x + dx, y + dy) > center
 
 
 class TestValley:
     def test_known_values(self):
-        assert valley(0.5, 0.5) == 0.0
-        assert valley(1.0, 0.0) == 1.0
-        assert valley(1.0, 1.0) == pytest.approx(1.0 / 9.0, abs=1e-15)
+        assert at(valley, 0.5, 0.5) == 0.0
+        assert at(valley, 1.0, 0.0) == 1.0
+        assert at(valley, 1.0, 1.0) == pytest.approx(1.0 / 9.0, abs=1e-15)
 
     def test_minimum_at_center(self):
         argmin, value = grid_oracle(builtin("valley"), 1001)
@@ -72,24 +77,30 @@ class TestValley:
     def test_kink_along_diagonal(self):
         # The |x - y| term makes the function non-smooth across x = y.
         eps = 1e-6
-        left = valley(0.3 - eps, 0.3)
-        right = valley(0.3 + eps, 0.3)
-        at = valley(0.3, 0.3)
-        assert at < left and at < right
+        left = at(valley, 0.3 - eps, 0.3)
+        right = at(valley, 0.3 + eps, 0.3)
+        on = at(valley, 0.3, 0.3)
+        assert on < left and on < right
 
     def test_rejects_out_of_box(self):
         with pytest.raises(ValueError):
-            valley(-0.2, 0.5)
+            valley([[-0.2, 0.5]])
 
 
 class TestSphere:
     def test_reference_values(self):
-        assert sphere(np.array([0.5, 0.5])) == 0.0
-        assert sphere(np.array([0.0, 0.0])) == pytest.approx(0.5)
-        assert sphere(np.array([0.75])) == pytest.approx(0.0625)
+        assert at(sphere, 0.5, 0.5) == 0.0
+        assert at(sphere, 0.0, 0.0) == pytest.approx(0.5)
+        assert at(sphere, 0.75) == pytest.approx(0.0625)
 
     def test_any_dimension(self):
-        assert sphere(np.full(7, 0.5)) == 0.0
+        assert at(sphere, *np.full(7, 0.5)) == 0.0
+
+    def test_rejects_out_of_box(self):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            sphere([[0.5, 1.5]])
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            builtin("sphere", dim=3).evaluate(np.array([0.5, -0.1, 0.5]))
 
 
 class TestBuiltin:
@@ -106,6 +117,12 @@ class TestBuiltin:
         assert obj.domain.dim == 5
         assert obj.evaluate(np.full(5, 0.5)) == 0.0
 
+    def test_planar_functions_reject_other_dimensions(self):
+        with pytest.raises(ValueError, match="objective 'multimodal' is 2-dimensional, got dim=3"):
+            builtin("multimodal", dim=3)
+        with pytest.raises(ValueError, match="objective 'valley' is 2-dimensional, got dim=1"):
+            builtin("valley", dim=1)
+
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             builtin("rosenbrock")
@@ -117,7 +134,7 @@ class TestBuiltin:
             obj = builtin(name)
             batch = obj.evaluate_many(points)
             singles = [obj.evaluate(p) for p in points]
-            np.testing.assert_allclose(batch, singles, atol=1e-12)
+            np.testing.assert_array_equal(batch, singles)
 
 
 class TestGridOracle:
@@ -130,7 +147,6 @@ class TestGridOracle:
         flat = NamedObjective(
             name="flat",
             domain=BoundedDomain(np.zeros(2), np.ones(2)),
-            evaluate=lambda p: 1.0,
             evaluate_many=lambda pts: np.ones(pts.shape[0]),
         )
         argmin, value = grid_oracle(flat, 11)
@@ -141,7 +157,6 @@ class TestGridOracle:
         big = NamedObjective(
             name="big",
             domain=BoundedDomain(np.zeros(4), np.ones(4)),
-            evaluate=lambda p: 0.0,
             evaluate_many=lambda pts: np.zeros(pts.shape[0]),
         )
         with pytest.raises(ValueError):
@@ -155,7 +170,6 @@ class TestGridOracle:
         obj = NamedObjective(
             name="plain",
             domain=BoundedDomain(np.zeros(1), np.ones(1)),
-            evaluate=lambda p: float((p[0] - 0.25) ** 2),
             evaluate_many=lambda pts: (pts[:, 0] - 0.25) ** 2,
         )
         argmin, value = grid_oracle(obj, 101)

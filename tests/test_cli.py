@@ -11,6 +11,7 @@ import runpy
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,7 +198,7 @@ class TestRunCommand:
             (
                 {"lower": [0.0, 0.0, 0.0], "upper": [1.0, 1.0, 1.0]},
                 None,
-                "objective 'valley' is 2-dimensional, bounds have 3 entries",
+                "objective 'valley' is 2-dimensional, got dim=3",
                 "lower",
             ),
             (
@@ -715,6 +716,27 @@ class TestSurfaceCommand:
         ) == EXIT_OK
         grid = self.load_grid(out)
         np.testing.assert_allclose(grid, 2.5, atol=1e-7)
+
+    def test_large_grid_is_evaluated_in_blocks(self, tmp_path):
+        # 301 x 301 nodes against 64 centers: one kernel matrix for the whole
+        # grid would take 46 MB, and no block may come close to that.
+        history = tmp_path / "hist.csv"
+        rng = np.random.default_rng(1)
+        rows = ["stage,index,x_1,x_2,f_raw,f_scaled,radius,fallback"]
+        for i, (x, y) in enumerate(rng.random((64, 2)).tolist()):
+            rows.append(f"initial,{i},{x!r},{y!r},{float(np.sin(5 * x) + y)!r},0.5,,0")
+        history.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "surface.csv"
+        tracemalloc.start()
+        try:
+            code = main(["surface", "--history", str(history), "--resolution", "301",
+                         "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert self.load_grid(out).shape == (301, 301)
+        assert peak < 20e6
 
     def test_rejects_short_history(self, tmp_path, capsys):
         history = tmp_path / "hist.csv"

@@ -460,12 +460,12 @@ class TestRun:
         result = run(obj.evaluate, domain, cfg)
         # best_f must equal the raw objective at the returned point.
         assert result.best_f == pytest.approx(
-            float(multimodal(result.best_x[0], result.best_x[1])), abs=1e-9
+            float(multimodal(result.best_x[None, :])[0]), abs=1e-9
         )
         # The true maximum 12 - (value at x=y=1 region); compare to a grid scan.
         axis = np.linspace(0.0, 1.0, 101)
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        true_max = float(np.max(multimodal(gx, gy)))
+        true_max = float(np.max(multimodal(np.stack([gx.ravel(), gy.ravel()], axis=1))))
         assert result.best_f > 0.8 * true_max
 
     def test_maximize_reports_returned_value(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rbfcors import BoundedDomain, LatinHypercube, builtin, fit, fit_rescaler
+from rbfcors import BoundedDomain, LatinHypercube, builtin, fit, fit_rescaler, sphere
 from rbfcors.cors import ProposalSettings, RadiusSchedule, draw_batch
 
 UNIT_SQUARE = BoundedDomain(np.zeros(2), np.ones(2))
@@ -34,6 +34,7 @@ SCHEDULE = RadiusSchedule(initial_density=0.75, decay_exponent=1.0, total_iters=
         ),
         (lambda: LatinHypercube(np.arange(3)), "(d, n) integer array"),
         (lambda: builtin("sphere", dim=0), "sphere needs dim >= 1"),
+        (lambda: sphere(np.array([0.5, 0.5])), "(n, d) array"),
     ],
     ids=[
         "domain-2d-bounds",
@@ -49,6 +50,7 @@ SCHEDULE = RadiusSchedule(initial_density=0.75, decay_exponent=1.0, total_iters=
         "draw_batch-zero",
         "latin-hypercube-1d",
         "sphere-dim-zero",
+        "sphere-1d-points",
     ],
 )
 def test_bad_input_raises_value_error(call, message):

@@ -8,6 +8,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,32 @@ class TestConditionEstimate:
         assert record.getMessage().endswith("nudge fired")
         assert getrf_calls == [(15, 15), (15, 15)]
         assert np.all(np.isfinite(model.weights))
+
+    def test_residual_that_overflows_gives_none_without_warning(self):
+        # The first solution is finite, but its residual is -inf.
+        system = np.eye(4)
+        system[0] = [-6e307, -1e308, 1e308, 1.0]
+        rhs = np.array([1e308, 1.0, 1.0, 1.0])
+        factors, _ = rbfcors.rbf._factor(system)
+        assert np.all(np.isfinite(rbfcors.rbf.lu_solve(factors, rhs)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert rbfcors.rbf._refined_solve(system, factors, rhs) is None
+        assert caught == []
+
+    def test_values_near_overflow_raise_without_warning(self):
+        # A well-conditioned system whose residuals overflow on both factor
+        # passes: the fit gives up through SingularFitError, not a warning.
+        points = np.array(
+            [0.7174146792882161, 0.2808233280360034, 0.08272491799811632,
+             0.9697713192928598, 0.5639267453679521, 0.6443209621512465]
+        )[:, None]
+        values = np.array([-1e306, 5e305, 5e305, 0.0, -1e306, -1e306])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SingularFitError, match="could not be solved"):
+                fit(points, values)
+        assert caught == []
 
     def test_unrelated_solve_error_reaches_the_caller(self, monkeypatch):
         # Only a solve that is not finite takes the nudge path; any other
