@@ -5,8 +5,9 @@ Three subcommands:
 * ``run`` — optimize a built-in or external objective from a JSON config and
   write the evaluation history as CSV.
 * ``lhs`` — emit an improved Latin-hypercube design as CSV.
-* ``surface`` — refit the response surface from a history CSV and dump it on
-  a regular grid for external contour plotting.
+* ``surface`` — fit the response surface to a history CSV's ``f_scaled``
+  values, the values the run fitted, and dump it on a regular grid for
+  external contour plotting.
 
 External objectives are subprocesses speaking a line protocol: one
 whitespace-separated point per line on standard input, one scalar per line
@@ -41,7 +42,7 @@ from .cors import check_settings
 from .engine import DriverError, ObjectiveError, OptimizationConfig, RunError, run
 from .engine import log as engine_log
 from .lhs import diagonal_lh, improve_lh, spread
-from .rbf import SingularFitError, compute_space_scaling, fit, refit_with_scaling, scaling_cloud
+from .rbf import SingularFitError, fit
 from .scaling import BoundedDomain
 
 EXIT_OK = 0
@@ -343,7 +344,11 @@ def history_to_csv(history, dim: int) -> str:
 
 
 def parse_history(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read a history CSV back as (unit points, raw values)."""
+    """Read a history CSV back as (unit points, f_scaled values).
+
+    A row without an f_scaled value comes only from a run that failed inside
+    its initial design, which never fitted a model, and is rejected.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
@@ -356,22 +361,18 @@ def parse_history(path: str) -> tuple[np.ndarray, np.ndarray]:
     d = sum(1 for name in header if re.fullmatch(r"x_\d+", name))
     if d == 0 or header != _history_columns(d):
         raise ConfigError(f"history header must be {','.join(_history_columns(max(d, 1)))}")
-    points, raw = [], []
+    points, fitted = [], []
     for number, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ConfigError(f"history line {number}: expected {len(header)} fields")
+        if not row[3 + d]:
+            raise ConfigError(f"history line {number}: f_scaled is empty")
         try:
             points.append([float(row[2 + i]) for i in range(d)])
-            raw.append(float(row[2 + d]))
+            fitted.append(float(row[3 + d]))
         except ValueError:
             raise ConfigError(f"history line {number}: malformed number")
-    return np.asarray(points), np.asarray(raw)
-
-
-def _seeded_rng(args) -> np.random.Generator:
-    """Generator for a subcommand's --seed, checked like the config's seed."""
-    check_settings(args, ("seed", args.seed is None or args.seed >= 0, "non-negative"))
-    return np.random.default_rng(args.seed)
+    return np.asarray(points), np.asarray(fitted)
 
 
 def cmd_run(args) -> None:
@@ -409,7 +410,9 @@ def cmd_run(args) -> None:
 
 
 def cmd_lhs(args) -> None:
-    rng = _seeded_rng(args)
+    # --seed is checked like the config's seed.
+    check_settings(args, ("seed", args.seed is None or args.seed >= 0, "non-negative"))
+    rng = np.random.default_rng(args.seed)
     base = diagonal_lh(args.n, args.d)
     initial_spread = spread(base.unit_points())
     improved = improve_lh(base, args.attempts, rng)
@@ -422,18 +425,13 @@ def cmd_lhs(args) -> None:
 
 
 def cmd_surface(args) -> None:
-    rng = _seeded_rng(args)
-    points, raw_values = parse_history(args.history)
+    points, fitted = parse_history(args.history)
     d = points.shape[1]
     if d != 2:
         raise ConfigError(f"surface grid requires a 2-dimensional history, got d={d}")
     if args.resolution < 2:
         raise ConfigError(f"resolution must be at least 2, got {args.resolution}")
-    model = fit(points, raw_values)
-    if args.scaled:
-        cloud = scaling_cloud(model.centers, model.scaling, rng, OptimizationConfig.cloud_size)
-        scaling = compute_space_scaling(model, cloud, OptimizationConfig.best_fraction)
-        model = refit_with_scaling(points, raw_values, scaling)
+    model = fit(points, fitted)
     axis = np.linspace(0.0, 1.0, args.resolution)
     first, second = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([first.ravel(), second.ravel()], axis=1)
@@ -441,8 +439,8 @@ def cmd_surface(args) -> None:
     values = np.concatenate([model.evaluate_many(grid[i : i + _SURFACE_BLOCK]) for i in blocks])
     values = values.reshape(args.resolution, args.resolution)
     lines = [
-        f"# response surface on the unit square; rows: x_1 from 0 to 1, "
-        f"columns: x_2 from 0 to 1, resolution={args.resolution}"
+        f"# response surface in the run's f_scaled units on the unit square; "
+        f"rows: x_1 from 0 to 1, columns: x_2 from 0 to 1, resolution={args.resolution}"
     ]
     for row in values:
         lines.append(",".join(format_float(v) for v in row))
@@ -479,30 +477,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_lhs.set_defaults(func=cmd_lhs)
 
     p_surface = sub.add_parser(
-        "surface", help="dump the refitted response surface on a grid"
+        "surface", help="dump the surface fitted to a history's f_scaled values on a grid"
     )
     p_surface.add_argument("--history", required=True, help="history CSV from `run`")
     p_surface.add_argument(
         "--resolution", type=int, default=101, help="grid nodes per axis"
     )
-    group = p_surface.add_mutually_exclusive_group()
-    group.add_argument(
-        "--scaled",
-        dest="scaled",
-        action="store_true",
-        help="apply covariance-based space rescaling before refitting",
-    )
-    group.add_argument(
-        "--unscaled",
-        dest="scaled",
-        action="store_false",
-        help="plain fit without space rescaling (default)",
-    )
-    p_surface.add_argument(
-        "--seed", type=int, default=0, help="seed for the rescaling point cloud"
-    )
     p_surface.add_argument("--out", default="surface.csv", help="output CSV path")
-    p_surface.set_defaults(func=cmd_surface, scaled=False)
+    p_surface.set_defaults(func=cmd_surface)
 
     return parser
 

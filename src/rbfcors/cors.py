@@ -192,7 +192,7 @@ class CandidateDraw:
     uniform holds the uniform candidates, and nearest each one's distance
     to the nearest of centers.  offsets holds the settings.local_candidates
     Gaussian steps, with sigma = max(radius, 0.05), that propose_point adds
-    to the incumbent; it is None when local_candidates is 0.
+    to the incumbent.
     None of this depends on objective values, so the optimizer draws it
     while the batch before the fit is still being evaluated.
     """
@@ -201,24 +201,22 @@ class CandidateDraw:
     radius: float
     settings: ProposalSettings
     uniform: np.ndarray
-    offsets: np.ndarray | None
+    offsets: np.ndarray
     nearest: np.ndarray
 
 
 def draw_candidates(
     centers, radius: float, rng: np.random.Generator, settings: ProposalSettings
 ) -> CandidateDraw:
-    """Draw one proposal's candidates: the uniform block, then the Gaussian
-    block if settings.local_candidates is positive, and measure the uniform
-    ones against the (n, d) centers."""
+    """Draw one proposal's candidates, the uniform block and then the
+    Gaussian block, and measure the uniform ones against the (n, d)
+    centers."""
     if radius < 0.0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     centers = np.asarray(centers, dtype=float)
     dim = centers.shape[1]
     uniform = rng.random((settings.uniform_per_dim * dim, dim))
-    offsets = None
-    if settings.local_candidates > 0:
-        offsets = rng.normal(0.0, max(radius, 0.05), (settings.local_candidates, dim))
+    offsets = rng.normal(0.0, max(radius, 0.05), (settings.local_candidates, dim))
     nearest = _min_center_distance(uniform, centers)
     return CandidateDraw(centers, radius, settings, uniform, offsets, nearest)
 
@@ -325,15 +323,14 @@ def propose_point(
 
     The centers are draw.centers followed by the (m, d) pending points, which
     the draw's uniform candidates have not yet been measured against.  The
-    candidates are the draw's uniform points plus its Gaussian offsets, if
-    any, around the incumbent best_point, clipped into the closed unit cube;
-    a draw without offsets leaves best_point unused.  Candidates violating
-    the distance constraint are dropped; the best survivor is refined by
-    pattern search.  If no candidate is feasible (radius too large for the
-    remaining free space), the candidate farthest from the centers is
-    returned instead and the fallback flag is set, which keeps the
-    evaluation budget moving.  The kernels of the survivors and of the
-    pattern-search polls are built in buf when that is given: a flat
+    candidates are the draw's uniform points plus its Gaussian offsets
+    around the incumbent best_point, clipped into the closed unit cube.
+    Candidates violating the distance constraint are dropped; the best
+    survivor is refined by pattern search.  If no candidate is feasible
+    (radius too large for the remaining free space), the candidate farthest
+    from the centers is returned instead and the fallback flag is set, which
+    keeps the evaluation budget moving.  The kernels of the survivors and of
+    the pattern-search polls are built in buf when that is given: a flat
     workspace from rbf.kernel_workspace with room for
     draw.settings.kernel_rows(d) rows against the model's centers.
     """
@@ -344,10 +341,9 @@ def propose_point(
     cands, dmin = draw.uniform, draw.nearest
     if len(pending):
         dmin = np.minimum(dmin, _min_center_distance(cands, pending))
-    if draw.offsets is not None:
-        local = np.clip(np.asarray(best_point, dtype=float) + draw.offsets, 0.0, 1.0)
-        cands = np.vstack([cands, local])
-        dmin = np.concatenate([dmin, _min_center_distance(local, centers)])
+    local = np.clip(np.asarray(best_point, dtype=float) + draw.offsets, 0.0, 1.0)
+    cands = np.vstack([cands, local])
+    dmin = np.concatenate([dmin, _min_center_distance(local, centers)])
     feasible = _feasible(dmin, radius)
 
     if not feasible.any():

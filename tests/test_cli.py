@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import errno
 import hashlib
 import json
@@ -28,14 +29,7 @@ from rbfcors.cli import (
     main,
     parse_history,
 )
-from rbfcors.engine import OptimizationConfig
-from rbfcors.rbf import (
-    SingularFitError,
-    compute_space_scaling,
-    fit,
-    refit_with_scaling,
-    scaling_cloud,
-)
+from rbfcors.rbf import SingularFitError, fit
 
 
 def write_config(path, **overrides):
@@ -636,8 +630,7 @@ class TestSurfaceCommand:
         history = self.run_history(tmp_path)
         out = tmp_path / "surface.csv"
         code = main(
-            ["surface", "--history", str(history), "--resolution", "41",
-             "--unscaled", "--out", str(out)]
+            ["surface", "--history", str(history), "--resolution", "41", "--out", str(out)]
         )
         assert code == EXIT_OK
         assert self.load_grid(out).shape == (41, 41)
@@ -648,13 +641,13 @@ class TestSurfaceCommand:
         resolution = 101
         main(
             ["surface", "--history", str(history), "--resolution",
-             str(resolution), "--unscaled", "--out", str(out)]
+             str(resolution), "--out", str(out)]
         )
         grid = self.load_grid(out)
-        points, raw = parse_history(str(history))
-        model = fit(points, raw)
+        points, fitted = parse_history(str(history))
+        model = fit(points, fitted)
         axis = np.linspace(0.0, 1.0, resolution)
-        for center, value in zip(points, raw):
+        for center, value in zip(points, fitted):
             i, j = (int(np.argmin(np.abs(axis - c))) for c in center)
             node = np.array([axis[i], axis[j]])
             # Local linearity slack: the surface moves at most its local
@@ -672,34 +665,34 @@ class TestSurfaceCommand:
             )
             assert abs(grid[i, j] - value) <= slack
 
-    def test_scaled_and_unscaled_grids_differ(self, tmp_path):
-        history = self.run_history(tmp_path, n_init=20, n_iter=0, seed=6)
-        out_u, out_s = tmp_path / "u.csv", tmp_path / "s.csv"
-        main(["surface", "--history", str(history), "--resolution", "31",
-              "--unscaled", "--out", str(out_u)])
-        main(["surface", "--history", str(history), "--resolution", "31",
-              "--scaled", "--seed", "0", "--out", str(out_s)])
-        assert not np.array_equal(self.load_grid(out_u), self.load_grid(out_s))
+    def test_grid_is_the_plain_fit_to_f_scaled(self, tmp_path):
+        # The README's run example: 4 of its 20 values are clipped, so a fit
+        # to f_raw would draw a different surface.
+        history = self.run_history(
+            tmp_path, objective="multimodal", n_init=12, n_iter=8, seed=11, batch_size=4
+        )
+        with open(history, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        points = np.array([[float(r["x_1"]), float(r["x_2"])] for r in rows])
+        f_scaled = np.array([float(r["f_scaled"]) for r in rows])
+        assert np.count_nonzero(f_scaled == 1.0) > 1  # more than the maximum is clipped
 
-    def test_scaled_grid_is_the_library_composition(self, tmp_path):
-        history = self.run_history(tmp_path, n_init=20, n_iter=0, seed=6)
         out = tmp_path / "s.csv"
         code = main(["surface", "--history", str(history), "--resolution", "31",
-                     "--scaled", "--seed", "3", "--out", str(out)])
+                     "--out", str(out)])
         assert code == EXIT_OK
 
-        points, raw = parse_history(str(history))
-        model = fit(points, raw)
-        rng = np.random.default_rng(3)
-        cloud = scaling_cloud(model.centers, model.scaling, rng, OptimizationConfig.cloud_size)
-        scaling = compute_space_scaling(model, cloud, OptimizationConfig.best_fraction)
-        model = refit_with_scaling(points, raw, scaling)
+        model = fit(points, f_scaled)
         axis = np.linspace(0.0, 1.0, 31)
         first, second = np.meshgrid(axis, axis, indexing="ij")
         grid = np.stack([first.ravel(), second.ravel()], axis=1)
         rows = model.evaluate_many(grid).reshape(31, 31)
+        header = (
+            "# response surface in the run's f_scaled units on the unit square; "
+            "rows: x_1 from 0 to 1, columns: x_2 from 0 to 1, resolution=31\n"
+        )
         expected = "".join(",".join(format_float(v) for v in row) + "\n" for row in rows)
-        assert out.read_text().split("\n", 1)[1] == expected
+        assert out.read_text() == header + expected
 
     def test_constant_history_gives_constant_grid(self, tmp_path):
         history = tmp_path / "hist.csv"
@@ -711,11 +704,10 @@ class TestSurfaceCommand:
         history.write_text("\n".join(rows) + "\n")
         out = tmp_path / "surface.csv"
         assert main(
-            ["surface", "--history", str(history), "--resolution", "11",
-             "--unscaled", "--out", str(out)]
+            ["surface", "--history", str(history), "--resolution", "11", "--out", str(out)]
         ) == EXIT_OK
         grid = self.load_grid(out)
-        np.testing.assert_allclose(grid, 2.5, atol=1e-7)
+        np.testing.assert_allclose(grid, 1.0, atol=1e-7)
 
     def test_large_grid_is_evaluated_in_blocks(self, tmp_path):
         # 301 x 301 nodes against 64 centers: one kernel matrix for the whole
@@ -775,6 +767,12 @@ class TestSurfaceCommand:
                 "initial,0,0.1,zero,1.0,1.0,,0\n",
                 "history line 2: malformed number",
             ),
+            (
+                "stage,index,x_1,x_2,f_raw,f_scaled,radius,fallback\n"
+                "initial,0,0.1,0.2,1.0,0.5,,0\n"
+                "initial,1,0.9,0.8,2.0,,,0\n",
+                "history line 3: f_scaled is empty",
+            ),
         ],
     )
     def test_rejects_unreadable_history(self, tmp_path, capsys, text, message):
@@ -804,15 +802,15 @@ class TestSurfaceCommand:
         assert capsys.readouterr().err == "error: resolution must be at least 2, got 1\n"
         assert not out.exists()
 
-    def test_negative_seed_exits_two_naming_seed(self, tmp_path, capsys):
-        history = self.run_history(tmp_path)
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "flag", [["--scaled"], ["--unscaled"], ["--seed", "0"]], ids=lambda flag: flag[0]
+    )
+    def test_rescaling_flags_are_rejected(self, tmp_path, capsys, flag):
         out = tmp_path / "s.csv"
-        code = main(
-            ["surface", "--history", str(history), "--scaled", "--seed", "-1", "--out", str(out)]
-        )
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["surface", "--history", str(tmp_path / "h.csv"), *flag, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rejects_malformed_header(self, tmp_path, capsys):

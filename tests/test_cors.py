@@ -214,7 +214,7 @@ class TestProposePoint:
         model, points = sphere_model(np.random.default_rng(6))
         rng, bare = np.random.default_rng(0), np.random.default_rng(0)
         draw = draw_candidates(points, 0.1, rng, UNIFORM_ONLY)
-        assert draw.offsets is None
+        assert draw.offsets.shape == (0, 2)
         uniform = bare.random((UNIFORM_ONLY.uniform_per_dim * 2, 2))
         np.testing.assert_array_equal(draw.uniform, uniform)
         assert rng.bit_generator.state == bare.bit_generator.state

@@ -3,10 +3,11 @@ byte of these runs alone.
 
 The first three pins were computed at commit 0b84c72, the two
 pattern-search pins at commit 47d00f8, before the search polled its trials
-in batches.  The maximized pin, first computed at 0b84c72, was recomputed on
-the child of commit 054da58, when maximize changed from minimizing 1/(f+1)
-to minimizing -f; that changes every maximized history, while no minimize
-pin moved.  Each run stays at 40 centers or fewer, where the OpenBLAS
+in batches, and the uniform-candidates pin at commit 783a20a, while a draw
+without Gaussian offsets still took its own branch.  The maximized pin,
+first computed at 0b84c72, was recomputed on the child of commit 054da58,
+when maximize changed from minimizing 1/(f+1) to minimizing -f; that
+changes every maximized history, while no minimize pin moved.  Each run stays at 40 centers or fewer, where the OpenBLAS
 thread count never changed a surface value.
 """
 
@@ -71,6 +72,20 @@ PINS = {
         ),
         "4a6771509ee1a2f14a6233843ebe34b7e09bde6ef597e7dd23cde0818666cf87",
         0.016677721213225968,
+    ),
+    "multimodal, uniform candidates only, batch 3": (
+        "multimodal",
+        2,
+        dict(
+            n_init=6,
+            n_iter=12,
+            batch_size=3,
+            workers=2,
+            seed=13,
+            proposal=ProposalSettings(local_candidates=0),
+        ),
+        "aa0be6f2c39a4106d209933f6a7617663b3414862df7436d39e42e4421f57935",
+        2.4287398649211758,
     ),
 }
 

@@ -1,8 +1,9 @@
 """Every README example that imports rbfcors runs as written, and the
-README names every optional config key."""
+README names every optional config key and every command-line flag."""
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from rbfcors import OptimizationConfig, ProposalSettings
+from rbfcors.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 _BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
@@ -57,3 +59,14 @@ def test_readme_lists_exactly_the_optional_config_keys():
         if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
     }
     assert named == optional | {f.name for f in dataclasses.fields(ProposalSettings)}
+
+
+def test_readme_headings_list_exactly_each_subcommands_flags():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    text = README.read_text(encoding="utf-8")
+    headings = dict(re.findall(r"^### `rbfcors (\w+) (.*)`$", text, re.MULTILINE))
+    assert set(headings) == set(subparsers.choices)
+    for name, subparser in subparsers.choices.items():
+        options = {flag for action in subparser._actions for flag in action.option_strings}
+        assert set(re.findall(r"--\w[\w-]*", headings[name])) == options - {"-h", "--help"}, name
