@@ -27,6 +27,7 @@ from .engine import (
     OptimizationConfig,
     OptimizationResult,
     RunError,
+    RunInterrupted,
     best_so_far,
     evaluate_batch,
     run,
@@ -59,6 +60,7 @@ __all__ = [
     "RadiusSchedule",
     "RbfModel",
     "RunError",
+    "RunInterrupted",
     "SingularFitError",
     "SpaceScaling",
     "best_so_far",

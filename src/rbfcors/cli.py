@@ -17,7 +17,8 @@ round-tripping decimal form so identical runs produce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error (including an unwritable output
 path), 3 objective failure, 4 driver failure (fitting, rescaling or
-proposing).  On 3 and 4 the history evaluated so far is still written.
+proposing), 130 interrupted (Ctrl-C).  On 3, 4 and 130 the history evaluated
+so far is still written.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .benchmarks import BUILTIN_NAMES, NamedObjective, builtin
 from .cors import check_settings
-from .engine import DriverError, ObjectiveError, OptimizationConfig, RunError, run
+from .engine import DriverError, ObjectiveError, OptimizationConfig, RunError, RunInterrupted, run
 from .engine import log as engine_log
 from .lhs import diagonal_lh, improve_lh, spread
 from .rbf import SingularFitError, fit
@@ -49,6 +50,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_OBJECTIVE = 3
 EXIT_DRIVER = 4
+EXIT_INTERRUPTED = 130
 
 
 class ConfigError(Exception):
@@ -395,16 +397,18 @@ def cmd_run(args) -> None:
         else:
             objective = pool = CommandObjective(spec.objective, config.workers)
         result = run(objective, spec.domain, config)
-    except RunError as err:
+    except (RunError, RunInterrupted) as err:
         _atomic_write(out, history_to_csv(err.history, spec.domain.dim))
         raise
+    else:
+        # Before the objective's subprocesses are closed, which Ctrl-C may cut short.
+        _atomic_write(out, history_to_csv(result.history, spec.domain.dim))
     finally:
         engine_log.removeHandler(progress)
         engine_log.setLevel(level)
         if pool is not None:
             pool.close()
 
-    _atomic_write(out, history_to_csv(result.history, spec.domain.dim))
     best_x = ",".join(format_float(v) for v in result.best_x)
     print(f"best_x={best_x} best_f={format_float(result.best_f)}")
 
@@ -497,6 +501,7 @@ _EXIT_CODES = {
     ConfigError: EXIT_CONFIG,
     ValueError: EXIT_CONFIG,
     SingularFitError: EXIT_CONFIG,
+    KeyboardInterrupt: EXIT_INTERRUPTED,
 }
 
 
@@ -505,7 +510,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.func(args)
     except tuple(_EXIT_CODES) as err:
-        print(f"error: {err}", file=sys.stderr)
+        # Ctrl-C's own KeyboardInterrupt has no message.
+        print(f"error: {str(err) or 'interrupted'}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(err, cls))
     return EXIT_OK
 

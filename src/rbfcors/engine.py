@@ -71,6 +71,17 @@ class DriverError(RunError):
     """Fitting, rescaling or proposing failed after the initial design."""
 
 
+class RunInterrupted(KeyboardInterrupt):
+    """Ctrl-C stopped a run; carries the partial history as RunError does.
+
+    It stays a KeyboardInterrupt, so code that stops on Ctrl-C stops on it.
+    """
+
+    def __init__(self, history: list[EvaluationRecord]):
+        super().__init__(f"interrupted after {len(history)} evaluations")
+        self.history = history
+
+
 @dataclass(frozen=True)
 class OptimizationConfig:
     """Run settings, range-checked on construction.
@@ -169,8 +180,11 @@ def evaluate_batch(
 
     Results come back in input order.  The first call that raises or returns
     a non-finite value, or any exception reaching the caller while it waits,
-    stops every call not yet started; calls already running finish before
-    this returns, and their results are reported alongside the failure.
+    stops every call not yet started, and calls already running finish
+    before this returns.  A failed call raises BatchEvaluationError, which
+    reports the results of the calls that finished.  An exception reaching
+    the caller, such as Ctrl-C's KeyboardInterrupt, is re-raised as it is,
+    and the results of the finished calls are dropped.
 
     meanwhile, if given, is called with no arguments on the calling thread
     once the first min(workers, len(points)) calls have entered the
@@ -269,8 +283,7 @@ def _look_ahead(
     the cloud's kernel is built in buf."""
     cloud = None
     if config.use_space_rescaling:
-        # The cloud is ranked by the plain fit, whose scaling is the identity.
-        cloud = scaling_cloud(centers, np.eye(centers.shape[1]), rng, config.cloud_size, buf)
+        cloud = scaling_cloud(centers, rng, config.cloud_size, buf)
     k = min(config.effective_batch(), config.n_iter - iteration + 1)
     return cloud, draw_batch(centers, schedule, iteration, k, rng, config.proposal)
 
@@ -340,7 +353,9 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
     releases it, then the proposals score their candidates, and the next
     look-ahead starts after the last proposal.
     A failure after the initial design raises ObjectiveError or DriverError,
-    either carrying the history so far.
+    either carrying the history so far.  Ctrl-C once the initial design is
+    submitted raises RunInterrupted, whose history holds every record of
+    the batches recorded before it; the batch it stops is dropped.
     """
     config.validate(domain.dim)
     rng = np.random.default_rng(config.seed)
@@ -359,46 +374,49 @@ def run(objective, domain: BoundedDomain, config: OptimizationConfig) -> Optimiz
         rows = max(cloud, config.proposal.kernel_rows(domain.dim))
         buf = kernel_workspace(rows, config.n_init + config.n_iter)
         ahead = _Lookahead(rng, config, schedule, units, 1, buf)
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        history: list[EvaluationRecord] = []
-        _evaluate_into(history, objective, domain, config, pool, units, meanwhile=ahead)
+    history: list[EvaluationRecord] = []
+    try:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            _evaluate_into(history, objective, domain, config, pool, units, meanwhile=ahead)
 
-        rescaler = fit_rescaler(np.array([rec.f_raw for rec in history]), config.keep_fraction)
-        history = [
-            replace(rec, f_scaled=rescaler.rescale(rec.f_raw)) for rec in history
-        ]
+            rescaler = fit_rescaler(np.array([rec.f_raw for rec in history]), config.keep_fraction)
+            history = [
+                replace(rec, f_scaled=rescaler.rescale(rec.f_raw)) for rec in history
+            ]
 
-        batch = config.effective_batch()
-        for iteration in range(1, config.n_iter + 1, batch):
-            centers = np.array([rec.x_unit for rec in history])
-            scaled_values = np.array([rec.f_scaled for rec in history])
-            try:
-                if ahead.error is not None:
-                    raise ahead.error
-                model = fit(centers, scaled_values)
-                if config.use_space_rescaling:
-                    scaling = compute_space_scaling(model, ahead.cloud, config.best_fraction)
-                    model = refit_with_scaling(centers, scaled_values, scaling)
-                proposals = propose_batch(model, ahead.draws, best_so_far(history).x_unit, buf)
-            except Exception as exc:
-                # Any failure here is the driver's; the history is still worth keeping.
-                raise DriverError(
-                    f"driver failed at iteration {iteration}: {exc}", history
-                ) from exc
-            units = [p.x for p in proposals]
-            following = iteration + len(units)
-            ahead = None
-            if following <= config.n_iter:
-                pending = np.vstack([centers, units])
-                ahead = _Lookahead(rng, config, schedule, pending, following, buf)
-            _evaluate_into(
-                history, objective, domain, config, pool, units, proposals, rescaler, ahead
-            )
-            last = following - 1
-            rho, best = schedule.density(last), best_so_far(history).value
-            log.info(
-                "iter=%d rho=%.6f r=%.6f best=%.6g", last, rho, proposals[-1].radius, best
-            )
+            batch = config.effective_batch()
+            for iteration in range(1, config.n_iter + 1, batch):
+                centers = np.array([rec.x_unit for rec in history])
+                scaled_values = np.array([rec.f_scaled for rec in history])
+                try:
+                    if ahead.error is not None:
+                        raise ahead.error
+                    model = fit(centers, scaled_values)
+                    if config.use_space_rescaling:
+                        scaling = compute_space_scaling(model, ahead.cloud, config.best_fraction)
+                        model = refit_with_scaling(centers, scaled_values, scaling)
+                    proposals = propose_batch(model, ahead.draws, best_so_far(history).x_unit, buf)
+                except Exception as exc:
+                    # Any failure here is the driver's; the history is still worth keeping.
+                    raise DriverError(
+                        f"driver failed at iteration {iteration}: {exc}", history
+                    ) from exc
+                units = [p.x for p in proposals]
+                following = iteration + len(units)
+                ahead = None
+                if following <= config.n_iter:
+                    pending = np.vstack([centers, units])
+                    ahead = _Lookahead(rng, config, schedule, pending, following, buf)
+                _evaluate_into(
+                    history, objective, domain, config, pool, units, proposals, rescaler, ahead
+                )
+                last = following - 1
+                rho, best = schedule.density(last), best_so_far(history).value
+                log.info(
+                    "iter=%d rho=%.6f r=%.6f best=%.6g", last, rho, proposals[-1].radius, best
+                )
+    except KeyboardInterrupt as exc:
+        raise RunInterrupted(history) from exc
 
     best = best_so_far(history)
     return OptimizationResult(

@@ -10,7 +10,7 @@ the unisolvency side conditions sum(w) = 0 and sum(w_i x_i) = 0, the standard
 construction for a conditionally positive definite kernel of order 2.
 
 The scaling matrix T reshapes kernel distances to follow the geometry of the
-low-value region: a large cloud of uniform points is ranked by the current
+low-value region: a large cloud of uniform points is ranked by the plain
 surface, the best fraction approximates the valley, and T is assembled from
 the eigensystem of that cloud's covariance with rows eigvec_i / sqrt(eigval_i).
 """
@@ -97,10 +97,11 @@ class RbfModel:
         """Evaluate the surface at each row of an (m, d) array.
 
         The (m, n) kernel matrix comes from cubic_kernel, built in buf when
-        that is given, unless the caller computed it beforehand for these
-        points, this model's centers and its scaling and passes it as
-        kernel.  One matrix-vector product over the whole matrix then
-        reduces it, which leaves that product to threaded BLAS.
+        that is given, unless the caller passes it as kernel, built
+        beforehand for these points in this model's metric, as a
+        scaling_cloud's kernel is for the plain fit.  One matrix-vector
+        product over the whole matrix then reduces it, which leaves that
+        product to threaded BLAS.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
@@ -133,8 +134,8 @@ class SpaceScaling:
 @dataclass
 class ScalingCloud:
     """The uniform cloud that scaling_cloud draws and compute_space_scaling
-    ranks, with its cubic kernel matrix against the centers under the
-    scaling of the model that will rank it.
+    ranks, with its cubic kernel matrix against the centers in plain
+    distances, the metric of the unscaled fit that ranks it.
 
     Neither depends on objective values, so the optimizer draws the cloud
     while the batch before the fit is still being evaluated.  Ranking the
@@ -144,22 +145,18 @@ class ScalingCloud:
 
     points: np.ndarray
     centers: np.ndarray
-    scaling: np.ndarray
     kernel: np.ndarray | None
 
 
 def scaling_cloud(
-    centers, scaling, rng: np.random.Generator, size: int, buf: np.ndarray | None = None
+    centers, rng: np.random.Generator, size: int, buf: np.ndarray | None = None
 ) -> ScalingCloud:
     """Draw the cloud as rng.random((size, d)) and build its kernel matrix
-    against the (n, d) centers, distances measured through scaling; the
-    matrix is built in buf when that is given.  The draw is the only use of
-    rng."""
+    against the (n, d) centers, in plain distances; the matrix is built in
+    buf when that is given.  The draw is the only use of rng."""
     centers = np.asarray(centers, dtype=float)
-    scaling = np.asarray(scaling, dtype=float)
     points = rng.random((size, centers.shape[1]))
-    kernel = cubic_kernel(points @ scaling.T, centers @ scaling.T, buf)
-    return ScalingCloud(points=points, centers=centers, scaling=scaling, kernel=kernel)
+    return ScalingCloud(points=points, centers=centers, kernel=cubic_kernel(points, centers, buf))
 
 
 def kernel_workspace(rows: int, centers: int) -> np.ndarray:
@@ -460,12 +457,13 @@ def _solve_augmented(system: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
 def compute_space_scaling(
     model: RbfModel, cloud: ScalingCloud, best_fraction: float
 ) -> SpaceScaling:
-    """Derive the scaling matrix T from the low-value cloud of the model.
+    """Derive the scaling matrix T from the low-value cloud of the plain fit.
 
-    Ranks the uniform points of the cloud, a scaling_cloud for this model's
-    centers and scaling, by their surface values, keeps the best_fraction
-    with the lowest, and builds T from the eigensystem of the kept cloud's
-    covariance (unbiased normalization).  best_fraction must keep at least
+    model must be the plain fit (its scaling the identity) and cloud an
+    unranked scaling_cloud for its centers, or ValueError is raised.  Ranks
+    the cloud's uniform points by their surface values, keeps the
+    best_fraction with the lowest, and builds T from the eigensystem of the
+    kept cloud's covariance (unbiased normalization).  best_fraction must keep at least
     2 of the cloud's points, since one point has no covariance; 2 or more
     uniform draws always have some.  The cloud's kernel is released once the
     cloud is ranked, so a cloud serves one scaling.
@@ -475,9 +473,9 @@ def compute_space_scaling(
     if not (
         cloud.kernel is not None
         and np.array_equal(cloud.centers, model.centers)
-        and np.array_equal(cloud.scaling, model.scaling)
+        and np.array_equal(model.scaling, np.eye(model.dim))
     ):
-        raise ValueError("cloud was not drawn for this model's centers and scaling")
+        raise ValueError("cloud was not drawn for this model's centers, or the model is scaled")
     keep = math.ceil(len(cloud.points) * best_fraction)
     if keep < 2:
         raise ValueError(

@@ -207,7 +207,7 @@ def test_acceptance_5_space_rescaling_improves_fit():
         points = design.unit_points()
         values = valley(points)
         plain = fit(points, values)
-        cloud = scaling_cloud(plain.centers, plain.scaling, rng, 10000)
+        cloud = scaling_cloud(plain.centers, rng, 10000)
         rescaled = refit_with_scaling(points, values, compute_space_scaling(plain, cloud, 0.05))
         rmse_plain = float(np.sqrt(np.mean((plain.evaluate_many(grid) - truth) ** 2)))
         rmse_rescaled = float(

@@ -12,6 +12,7 @@ import runpy
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ import rbfcors.engine
 from rbfcors.cli import (
     EXIT_CONFIG,
     EXIT_DRIVER,
+    EXIT_INTERRUPTED,
     EXIT_OBJECTIVE,
     EXIT_OK,
     format_float,
@@ -112,6 +114,36 @@ class TestRunCommand:
         # header + 10 initial + the 2 batches fitted before the failing third
         assert len(out.read_text().splitlines()) == 13
         assert "injected fit failure" in capsys.readouterr().err
+
+    def test_interrupt_exits_130_and_writes_the_history_so_far(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg = write_config(
+            tmp_path / "cfg.json", objective="multimodal", n_init=6, n_iter=8,
+            batch_size=2, workers=2, seed=3,
+        )
+        clean = tmp_path / "clean.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(clean)]) == EXIT_OK
+        look_ahead = rbfcors.engine._look_ahead
+
+        def interrupted_at_five(*args):
+            # Iteration 5's look-ahead runs while the batch of 3 and 4 evaluates.
+            if args[4] == 5:
+                os.kill(os.getpid(), signal.SIGINT)
+                time.sleep(1.0)
+            return look_ahead(*args)
+
+        monkeypatch.setattr(rbfcors.engine, "_look_ahead", interrupted_at_five)
+        capsys.readouterr()
+        out = tmp_path / "hist.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_INTERRUPTED
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: interrupted after 8 evaluations"
+        assert not any("Traceback" in line for line in err)
+        partial = out.read_bytes()
+        # header + 6 initial + the batch of 1 and 2
+        assert len(partial.splitlines()) == 9
+        assert clean.read_bytes().startswith(partial)
 
     def test_valley_converges_near_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", n_init=20, n_iter=10, seed=3)
@@ -468,6 +500,36 @@ class TestExternalObjective:
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
         assert "bounds" in capsys.readouterr().err
 
+    def test_interrupt_while_closing_the_objective_keeps_the_whole_history(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        script = self.make_script(
+            tmp_path,
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    print(sum(float(v) ** 2 for v in line.split()))\n"
+            "    sys.stdout.flush()\n",
+        )
+        close = rbfcors.cli.CommandObjective.close
+
+        def interrupted_close(self):
+            close(self)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(rbfcors.cli.CommandObjective, "close", interrupted_close)
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            objective=[sys.executable, str(script)],
+            lower=[0.0, 0.0],
+            upper=[1.0, 1.0],
+            n_init=6,
+            n_iter=2,
+        )
+        out = tmp_path / "hist.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_INTERRUPTED
+        assert capsys.readouterr().err.splitlines()[-1] == "error: interrupted"
+        assert len(out.read_text().splitlines()) == 9  # header + 6 initial + 2 subsequent
+
     def test_dying_objective_exits_three_with_partial_history(self, tmp_path, capsys):
         script = self.make_script(
             tmp_path,
@@ -542,6 +604,16 @@ class TestExternalObjective:
 
 
 class TestLhsCommand:
+    def test_interrupt_exits_130_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(rbfcors.cli, "improve_lh", interrupted)
+        out = tmp_path / "design.csv"
+        assert main(["lhs", "--n", "5", "--d", "2", "--out", str(out)]) == EXIT_INTERRUPTED
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert not out.exists()
+
     def test_design_file_shape_and_trailer(self, tmp_path):
         # The digests were taken at commit 3fd6c29, before the exchanges
         # were scored in blocks: the designs must stay byte for byte.

@@ -24,6 +24,7 @@ from rbfcors.engine import (
     DriverError,
     ObjectiveError,
     OptimizationConfig,
+    RunInterrupted,
     best_so_far,
     evaluate_batch,
     run,
@@ -634,6 +635,25 @@ class TestLookahead:
         assert len(started) == 1
         assert finished == started
 
+    def test_interrupt_keeps_the_history_recorded_before_it(self, monkeypatch):
+        cfg = OptimizationConfig(n_init=6, n_iter=8, batch_size=2, workers=2, seed=3)
+        clean = run(sphere_objective, unit_domain(), cfg).history
+        look_ahead = engine._look_ahead
+
+        def interrupted_at_five(*args):
+            # Iteration 5's look-ahead runs while the batch of 3 and 4 evaluates.
+            if args[4] == 5:
+                os.kill(os.getpid(), signal.SIGINT)
+                time.sleep(1.0)
+            return look_ahead(*args)
+
+        monkeypatch.setattr(engine, "_look_ahead", interrupted_at_five)
+        with pytest.raises(RunInterrupted) as excinfo:
+            run(sphere_objective, unit_domain(), cfg)
+        assert isinstance(excinfo.value.__cause__, KeyboardInterrupt)
+        # The 6 initial records and the batch of 1 and 2, byte for byte.
+        assert history_to_csv(excinfo.value.history, 2) == history_to_csv(clean[:8], 2)
+
 
 class TestComposition:
     def test_public_pieces_replay_the_first_two_surrogate_batches(self):
@@ -663,7 +683,7 @@ class TestComposition:
         rescaler = fit_rescaler(values, cfg.keep_fraction)
         schedule = RadiusSchedule(cfg.initial_density, cfg.decay_exponent, cfg.n_iter, 2)
         for iteration in (1, 3):
-            cloud = scaling_cloud(centers, np.eye(2), rng, cfg.cloud_size)
+            cloud = scaling_cloud(centers, rng, cfg.cloud_size)
             draws = draw_batch(centers, schedule, iteration, 2, rng, cfg.proposal)
             scaled = [rescaler.rescale(v) for v in values]
             model = fit(centers, scaled)

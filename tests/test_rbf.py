@@ -576,20 +576,18 @@ class TestBlasThreadScope:
 
 def cloud_for(model, cloud_size, rng):
     """A scaling cloud of cloud_size points from rng for the model."""
-    return scaling_cloud(model.centers, model.scaling, rng, cloud_size)
+    return scaling_cloud(model.centers, rng, cloud_size)
 
 
 class TestScalingCloud:
     def test_draws_its_points_and_builds_their_kernel(self):
-        rng = np.random.default_rng(30)
-        centers, S = rng.random((7, 3)), rng.normal(size=(3, 3))
+        centers = np.random.default_rng(30).random((7, 3))
         drawing, oracle = np.random.default_rng(31), np.random.default_rng(31)
-        cloud = scaling_cloud(centers, S, drawing, 500)
+        cloud = scaling_cloud(centers, drawing, 500)
 
         np.testing.assert_array_equal(cloud.points, oracle.random((500, 3)))
         assert drawing.bit_generator.state == oracle.bit_generator.state
-        expected = cubic_kernel(cloud.points @ S.T, centers @ S.T)
-        np.testing.assert_array_equal(cloud.kernel, expected)
+        np.testing.assert_array_equal(cloud.kernel, cubic_kernel(cloud.points, centers))
 
 
 class TestSpaceScaling:
@@ -665,6 +663,10 @@ class TestSpaceScaling:
         other = fit(model.centers[1:], model.centers[1:, 0].copy())
         with pytest.raises(ValueError, match="cloud"):
             compute_space_scaling(other, cloud, 0.05)
+        # Only the plain fit ranks a cloud, even one drawn for its own centers.
+        rescaled = fit(model.centers, model.centers[:, 0].copy(), np.diag([2.0, 0.5]))
+        with pytest.raises(ValueError, match="cloud"):
+            compute_space_scaling(rescaled, cloud, 0.05)
         compute_space_scaling(model, cloud, 0.05)
         with pytest.raises(ValueError, match="cloud"):
             compute_space_scaling(model, cloud, 0.05)

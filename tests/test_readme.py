@@ -1,5 +1,6 @@
 """Every README example that imports rbfcors runs as written, and the
-README names every optional config key and every command-line flag."""
+README names every optional config key, every command-line flag and every
+exit code."""
 
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
+import rbfcors.cli
 from rbfcors import OptimizationConfig, ProposalSettings
-from rbfcors.cli import build_parser
+from rbfcors.cli import EXIT_OK, _EXIT_CODES, build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 _BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
@@ -70,3 +72,18 @@ def test_readme_headings_list_exactly_each_subcommands_flags():
     for name, subparser in subparsers.choices.items():
         options = {flag for action in subparser._actions for flag in action.option_strings}
         assert set(re.findall(r"--\w[\w-]*", headings[name])) == options - {"-h", "--help"}, name
+
+
+def exit_codes_listed(text: str) -> set[int]:
+    """The integers of the sentence that starts with "Exit codes:"."""
+    sentence = re.search(r"Exit codes:(.*?)\.(?:\s|$)", text, re.DOTALL).group(1)
+    return {int(number) for number in re.findall(r"\b\d+\b", sentence)}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [README.read_text(encoding="utf-8"), rbfcors.cli.__doc__],
+    ids=["readme", "cli-docstring"],
+)
+def test_exit_codes_sentence_lists_exactly_the_exit_codes(text):
+    assert exit_codes_listed(text) == {EXIT_OK} | set(_EXIT_CODES.values())
