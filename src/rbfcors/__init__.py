@@ -36,7 +36,6 @@ from .lhs import LatinHypercube, diagonal_lh, improve_lh, spread
 from .rbf import (
     RbfModel,
     SingularFitError,
-    SpaceScaling,
     compute_space_scaling,
     fit,
     refit_with_scaling,
@@ -62,7 +61,6 @@ __all__ = [
     "RunError",
     "RunInterrupted",
     "SingularFitError",
-    "SpaceScaling",
     "best_so_far",
     "builtin",
     "compute_space_scaling",

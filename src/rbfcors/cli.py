@@ -16,9 +16,9 @@ back on standard output.  Every output file is written atomically
 round-tripping decimal form so identical runs produce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error (including an unwritable output
-path), 3 objective failure, 4 driver failure (fitting, rescaling or
-proposing), 130 interrupted (Ctrl-C).  On 3, 4 and 130 the history evaluated
-so far is still written.
+path, and a setting whose arrays cannot be allocated), 3 objective failure,
+4 driver failure (fitting, rescaling or proposing), 130 interrupted
+(Ctrl-C).  On 3, 4 and 130 the history evaluated so far is still written.
 """
 
 from __future__ import annotations
@@ -501,6 +501,7 @@ _EXIT_CODES = {
     ConfigError: EXIT_CONFIG,
     ValueError: EXIT_CONFIG,
     SingularFitError: EXIT_CONFIG,
+    MemoryError: EXIT_CONFIG,
     KeyboardInterrupt: EXIT_INTERRUPTED,
 }
 

@@ -144,14 +144,12 @@ class OptimizationConfig:
 class EvaluationRecord:
     """One objective evaluation.
 
-    stage is "initial" for the space-filling design and "subsequent"
-    afterwards.  value is what the objective returned; f_raw is the objective
-    as minimized internally, which is -value when maximizing; f_scaled is its
+    value is what the objective returned; f_raw is the objective as
+    minimized internally, which is -value when maximizing; f_scaled is its
     rescaled value used for fitting.  radius_used is None for initial-design
     points.
     """
 
-    stage: str
     index: int
     x_unit: np.ndarray
     x_original: np.ndarray
@@ -160,6 +158,12 @@ class EvaluationRecord:
     f_scaled: float | None
     radius_used: float | None
     fallback: bool
+
+    @property
+    def stage(self) -> str:
+        """The design stage, read from radius_used: "initial" for the
+        space-filling design, "subsequent" afterwards."""
+        return "initial" if self.radius_used is None else "subsequent"
 
 
 @dataclass(frozen=True)
@@ -322,7 +326,6 @@ def _evaluate_into(
         f_raw = -value if config.maximize else value
         history.append(
             EvaluationRecord(
-                stage="initial" if prop is None else "subsequent",
                 index=start + pos,
                 x_unit=units[pos].copy(),
                 x_original=domain.from_unit(units[pos]),

@@ -118,19 +118,6 @@ class RbfModel:
         return float(self.evaluate_many(x[None, :])[0])
 
 
-@dataclass(frozen=True)
-class SpaceScaling:
-    """Distance rescaling derived from the covariance of the best cloud points.
-
-    matrix rows are eigvec_i / sqrt(eigval_i); eigenvalues are stored after
-    clamping tiny ones to a floor relative to the largest, since a flat cloud
-    direction would otherwise blow up the division.
-    """
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-
-
 @dataclass
 class ScalingCloud:
     """The uniform cloud that scaling_cloud draws and compute_space_scaling
@@ -169,10 +156,19 @@ def kernel_workspace(rows: int, centers: int) -> np.ndarray:
     hole when it was freed, which later small allocations split, so the
     next buffer went past it: over the 49 runs of one long-2d benchmark
     pass (glibc 2.36, 2 vCPU), peak RSS reached 113 MB that way against
-    96 MB with the map.
+    96 MB with the map.  A map the system refuses raises MemoryError naming
+    the rows, the centers and the bytes.
     """
     size = _kernel_entries(rows, centers)
-    return np.frombuffer(mmap.mmap(-1, max(size, 1) * 8), dtype=np.float64)[:size]
+    length = max(size, 1) * 8
+    try:
+        region = mmap.mmap(-1, length)
+    except OSError as err:
+        raise MemoryError(
+            f"cannot map a kernel workspace of {rows} rows by {centers} centers "
+            f"({length} bytes): {err.strerror}"
+        ) from err
+    return np.frombuffer(region, dtype=np.float64)[:size]
 
 
 def _kernel_entries(m: int, n: int) -> int:
@@ -456,17 +452,21 @@ def _solve_augmented(system: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
 
 def compute_space_scaling(
     model: RbfModel, cloud: ScalingCloud, best_fraction: float
-) -> SpaceScaling:
-    """Derive the scaling matrix T from the low-value cloud of the plain fit.
+) -> np.ndarray:
+    """The (d, d) scaling matrix T, from the low-value cloud of the plain fit.
 
     model must be the plain fit (its scaling the identity) and cloud an
     unranked scaling_cloud for its centers, or ValueError is raised.  Ranks
     the cloud's uniform points by their surface values, keeps the
     best_fraction with the lowest, and builds T from the eigensystem of the
-    kept cloud's covariance (unbiased normalization).  best_fraction must keep at least
-    2 of the cloud's points, since one point has no covariance; 2 or more
-    uniform draws always have some.  The cloud's kernel is released once the
-    cloud is ranked, so a cloud serves one scaling.
+    kept cloud's covariance (unbiased normalization): row i is the unit
+    eigenvector over the square root of its eigenvalue.  Eigenvalues below
+    1e-8 of the largest are raised to that floor, since a flat cloud
+    direction would otherwise blow up the division; so row i's squared norm
+    is one over its clamped eigenvalue.  best_fraction must keep at least 2 of the cloud's
+    points, since one point has no covariance; 2 or more uniform draws
+    always have some.  The cloud's kernel is released once the cloud is
+    ranked, so a cloud serves one scaling.
     """
     if not 0.0 < best_fraction <= 0.5:
         raise ValueError(f"best_fraction must be in (0, 0.5], got {best_fraction}")
@@ -490,10 +490,9 @@ def compute_space_scaling(
     covariance = np.atleast_2d(np.cov(kept, rowvar=False))
     eigenvalues, eigenvectors = np.linalg.eigh(covariance)
     clamped = np.maximum(eigenvalues, _EIGENVALUE_FLOOR_RATIO * eigenvalues.max())
-    # Row i is the unit eigenvector for clamped[i], over its square root.
-    return SpaceScaling(matrix=eigenvectors.T / np.sqrt(clamped)[:, None], eigenvalues=clamped)
+    return eigenvectors.T / np.sqrt(clamped)[:, None]
 
 
-def refit_with_scaling(points, values, scaling: SpaceScaling) -> RbfModel:
-    """Fit with kernel distances measured through scaling.matrix."""
-    return fit(points, values, scaling=scaling.matrix)
+def refit_with_scaling(points, values, scaling: np.ndarray) -> RbfModel:
+    """Fit with kernel distances measured through the scaling matrix T."""
+    return fit(points, values, scaling=scaling)

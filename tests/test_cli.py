@@ -296,6 +296,19 @@ class TestRunCommand:
             message = f"line {line}: {message}"
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_unmappable_workspace_exits_two_with_one_error_line(self, tmp_path, capsys):
+        # The workspace takes about 8e15 bytes, past any 64-bit user address
+        # space, so the map fails at once under every overcommit setting.
+        cfg = write_config(
+            tmp_path / "cfg.json", objective="sphere", n_init=6, n_iter=4, cloud_size=10**14
+        )
+        out = tmp_path / "hist.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]*\n", err)
+        assert err.startswith("error: cannot map a kernel workspace of 100000000000000 rows")
+        assert not out.exists()
+
     def test_missing_config_file_rejected(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
         assert "cannot read config file" in capsys.readouterr().err
@@ -872,6 +885,19 @@ class TestSurfaceCommand:
         )
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == "error: resolution must be at least 2, got 1\n"
+        assert not out.exists()
+
+    def test_unallocatable_grid_exits_two_with_one_error_line(self, tmp_path, capsys):
+        # 10**7 nodes per axis take about 728 TiB a coordinate, past any
+        # 64-bit user address space, so the allocation fails at once.
+        history = self.run_history(tmp_path, objective="multimodal", n_init=6, n_iter=2)
+        capsys.readouterr()
+        out = tmp_path / "s.csv"
+        code = main(
+            ["surface", "--history", str(history), "--resolution", "10000000", "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert re.fullmatch(r"error: [^\n]*\n", capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
 import os
@@ -220,7 +221,6 @@ class TestBestSoFar:
 
         def record(index, value):
             return EvaluationRecord(
-                stage="initial",
                 index=index,
                 x_unit=np.zeros(2),
                 x_original=np.zeros(2),
@@ -498,6 +498,12 @@ class TestRun:
                 assert rec.radius_used is None
             else:
                 assert rec.radius_used is not None and rec.radius_used >= 0.0
+
+    def test_stage_is_read_from_radius_used(self):
+        cfg = OptimizationConfig(n_init=6, n_iter=3, seed=12)
+        history = run(sphere_objective, unit_domain(), cfg).history
+        assert "stage" not in {f.name for f in dataclasses.fields(engine.EvaluationRecord)}
+        assert [rec.stage for rec in history] == ["initial"] * 6 + ["subsequent"] * 3
 
     def test_without_space_rescaling(self):
         cfg = OptimizationConfig(n_init=8, n_iter=4, seed=13, use_space_rescaling=False)

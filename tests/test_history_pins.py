@@ -7,13 +7,24 @@ in batches, and the uniform-candidates pin at commit 783a20a, while a draw
 without Gaussian offsets still took its own branch.  The maximized pin,
 first computed at 0b84c72, was recomputed on the child of commit 054da58,
 when maximize changed from minimizing 1/(f+1) to minimizing -f; that
-changes every maximized history, while no minimize pin moved.  Each run stays at 40 centers or fewer, where the OpenBLAS
-thread count never changed a surface value.
+changes every maximized history, while no minimize pin moved.
+
+The six benchmark pins, computed at commit 1ef977b, are the runs of the
+benchmark's two workloads on their seeds 0-2: Goldstein-Price on [-2, 2]^2
+with 6 + 250 evaluations, and the tilt on [-1, 1]^4 with 10 + 60, both in
+batches of 2 on 2 workers.  They reach 256 and 70 centers, where the BLAS
+thread count could in principle change a surface value; they hash the same
+under OPENBLAS_NUM_THREADS=1 and at the default of 2 threads, and
+test_history_independent_of_blas_thread_count checks a run of 206 centers
+both ways.  The objectives are read from bench/objectives.py,
+which is loaded without being changed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +32,12 @@ from rbfcors.benchmarks import builtin
 from rbfcors.cli import history_to_csv
 from rbfcors.cors import ProposalSettings
 from rbfcors.engine import OptimizationConfig, run
+from rbfcors.scaling import BoundedDomain
+
+OBJECTIVES = Path(__file__).resolve().parents[1] / "bench" / "objectives.py"
+_spec = importlib.util.spec_from_file_location("bench_objectives", OBJECTIVES)
+objectives = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(objectives)
 
 # name: (objective, dim, config, sha256 of the history CSV, best_f)
 PINS = {
@@ -90,11 +107,65 @@ PINS = {
 }
 
 
+LONG_2D = (objectives.goldstein_price, (-2.0, -2.0), (2.0, 2.0), dict(n_init=6, n_iter=250))
+TILT = (objectives.tilt, objectives.TILT_LOWER, objectives.TILT_UPPER, dict(n_init=10, n_iter=60))
+
+# name: (workload, seed, sha256 of the history CSV, best_f)
+BENCHMARK_PINS = {
+    "long-2d, seed 0": (
+        LONG_2D,
+        0,
+        "d764e32c53c422214b2404faba359b8608470c9e57ad25c924f4cdbfe7640638",
+        3.0000080260546227,
+    ),
+    "long-2d, seed 1": (
+        LONG_2D,
+        1,
+        "8ab667774c3f366562f0e18c2977ce62911ae96f4474b338a1a38dbc2a1d977a",
+        3.000090505076422,
+    ),
+    "long-2d, seed 2": (
+        LONG_2D,
+        2,
+        "337310bc0c05a15e5bf52b2c6d481fbdc9f1665b9847ba02d9a5ba2712db509c",
+        3.000020677685435,
+    ),
+    "tilt, seed 0": (
+        TILT,
+        0,
+        "d42c9fa3043f8c912b745f7e0267bb37ea4f98142ee4daac02001c6bda2239d4",
+        0.0,
+    ),
+    "tilt, seed 1": (
+        TILT,
+        1,
+        "cb9df0fb480e3ae0ff40f32968aa23628774204cf0a99e2e044c97c4929d63d3",
+        0.0,
+    ),
+    "tilt, seed 2": (
+        TILT,
+        2,
+        "1086ba80aa386ce10dc30555fd715f3c1f04c885a561f3ae233241a0c19f95a1",
+        0.0,
+    ),
+}
+
+
 @pytest.mark.parametrize("name", PINS)
 def test_history_matches_its_pin(name):
     objective_name, dim, settings, digest, best_f = PINS[name]
     objective = builtin(objective_name, dim)
     result = run(objective.evaluate, objective.domain, OptimizationConfig(**settings))
     csv = history_to_csv(result.history, dim)
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
+    assert result.best_f == best_f
+
+
+@pytest.mark.parametrize("name", BENCHMARK_PINS)
+def test_benchmark_history_matches_its_pin(name):
+    (objective, lower, upper, sizes), seed, digest, best_f = BENCHMARK_PINS[name]
+    config = OptimizationConfig(**sizes, batch_size=2, workers=2, seed=seed)
+    result = run(objective, BoundedDomain(lower, upper), config)
+    csv = history_to_csv(result.history, len(lower))
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
     assert result.best_f == best_f

@@ -609,7 +609,7 @@ class TestSpaceScaling:
         order = np.argsort(model.evaluate_many(cloud), kind="stable")
         kept = cloud[order[:keep]]
         covariance = np.cov(kept, rowvar=False)
-        whitened = scaling.matrix @ covariance @ scaling.matrix.T
+        whitened = scaling @ covariance @ scaling.T
         np.testing.assert_allclose(whitened, np.eye(2), atol=1e-8)
 
     def test_rows_scale_inverse_sqrt_eigenvalue(self):
@@ -620,8 +620,8 @@ class TestSpaceScaling:
 
         kept = cloud.points[np.argsort(surface, kind="stable")[: math.ceil(2000 * 0.05)]]
         eigenvalues, eigenvectors = np.linalg.eigh(np.cov(kept, rowvar=False))
-        np.testing.assert_allclose(scaling.eigenvalues, eigenvalues, rtol=1e-12)
-        for row, eigval, eigvec in zip(scaling.matrix, eigenvalues, eigenvectors.T):
+        np.testing.assert_allclose(1 / np.sum(scaling**2, axis=1), eigenvalues, rtol=1e-12)
+        for row, eigval, eigvec in zip(scaling, eigenvalues, eigenvectors.T):
             # An eigenvector's sign is arbitrary.
             sign = np.sign(row @ eigvec)
             np.testing.assert_allclose(row, sign * eigvec / math.sqrt(eigval), atol=1e-12)
@@ -639,8 +639,10 @@ class TestSpaceScaling:
         # must be floored instead of producing an infinite row.
         cloud = cloud_for(model, 100, np.random.default_rng(0))
         scaling = compute_space_scaling(model, cloud, 0.02)
-        assert scaling.eigenvalues.min() >= 1e-8 * scaling.eigenvalues.max()
-        assert np.all(np.isfinite(scaling.matrix))
+        assert np.all(np.isfinite(scaling))
+        # Row i's squared norm is one over its clamped eigenvalue, within an ulp or so.
+        clamped = 1 / np.sum(scaling**2, axis=1)
+        np.testing.assert_allclose(clamped.min(), 1e-8 * clamped.max(), rtol=1e-12)
 
     def test_refit_still_interpolates(self):
         rng = np.random.default_rng(11)
@@ -650,7 +652,20 @@ class TestSpaceScaling:
         scaling = compute_space_scaling(model, cloud_for(model, 10000, rng), 0.05)
         refit = refit_with_scaling(points, values, scaling)
         np.testing.assert_allclose(refit.evaluate_many(points), values, atol=1e-6)
-        np.testing.assert_array_equal(refit.scaling, scaling.matrix)
+        assert refit.scaling.tobytes() == scaling.tobytes()
+
+    def test_matrix_is_unchanged(self):
+        # T of test_refit_still_interpolates, bit for bit as computed at commit 1ef977b.
+        rng = np.random.default_rng(11)
+        points = rng.random((18, 2))
+        model = fit(points, np.sin(points[:, 0] * 3) + points[:, 1] ** 2)
+        scaling = compute_space_scaling(model, cloud_for(model, 10000, rng), 0.05)
+        expected = [
+            ["-0x1.1207ce787ccfap-1", "-0x1.07c1de268b8f3p+3"],
+            ["-0x1.2fd15e09e4c31p+1", "0x1.3ba6c084ba1efp-3"],
+        ]
+        assert isinstance(scaling, np.ndarray) and scaling.dtype == np.float64
+        assert [[value.hex() for value in row] for row in scaling.tolist()] == expected
 
     def test_rejects_bad_parameters(self):
         model, _ = self._slab_model()
